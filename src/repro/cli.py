@@ -16,8 +16,9 @@ The subcommands mirror the library's workflow::
 
 `simulate` replays one policy on one workload (optionally recording a
 schema-versioned JSONL event stream, registry snapshots, and a run
-manifest), and with ``--batch`` streams ``.bin`` traces through the
-array-backed batch engine at paper scale; `experiment` prints a paper
+manifest) and streams ``.bin`` traces through the batch engine at paper
+scale when the policy has a batch core (``--batch`` insists on it: batch
+or exit 2); `experiment` prints a paper
 table; `workload` generates/analyses/saves traces; `trace` generates,
 converts (text<->binary, streaming both ways), and inspects binary trace
 files; `report` regenerates the full paper-vs-measured document; `obs`
@@ -68,7 +69,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(str(exc).strip('"\''))
         return 2
 
-    if args.batch:
+    if args.batch or _replays_through_batch_core(args):
         return _simulate_batch(args)
 
     if args.trace_file:
@@ -130,8 +131,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replays_through_batch_core(args: argparse.Namespace) -> bool:
+    """Without ``--batch``, a ``.bin`` file still streams through the
+    policy's batch core when it has one — unless an observability flag
+    asks for the per-request events only the rich engine emits."""
+    from repro.sim.batch import batch_supported
+    from repro.traces.binfmt import is_bin_trace
+
+    if not args.trace_file or not batch_supported(args.policy):
+        return False
+    if args.trace_out or args.snapshot_every or args.manifest_out or args.obs_summary:
+        return False
+    return is_bin_trace(args.trace_file)
+
+
 def _simulate_batch(args: argparse.Namespace) -> int:
-    """``simulate --batch``: stream the trace through an array-backed core.
+    """``simulate --batch`` (or a ``.bin`` file whose policy has a batch
+    core): stream the trace through the batch engine.
 
     Binary trace files never materialise in memory — capacity defaults to
     ``fraction`` of the header's working-set estimate so a paper-scale
@@ -669,8 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch",
         action="store_true",
-        help="stream through the array-backed batch engine (LRU/FIFO/CLOCK/SIEVE); "
-        ".bin traces replay without materialising in memory",
+        help="require the batch engine (LRU/FIFO/CLOCK/SIEVE/SCIP; exit 2 otherwise); "
+        ".bin traces stream through it by default when the policy has a batch core",
     )
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument(

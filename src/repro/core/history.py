@@ -55,11 +55,13 @@ class HistoryList:
             raise ValueError(f"history capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
         self.bytes = 0
-        # key -> (size, was_hit, flag, time), in FIFO order (oldest first).
-        # ``flag`` carries the episode kind (see repro.core.scip: NORMAL /
+        # key -> (size, hits, flag, time), in FIFO order (oldest first).
+        # ``hits`` is the evicted residency's hit count (the hit token as a
+        # count: 0 / 1 / >= 2 are the three episode kinds above), ``flag``
+        # carries the episode kind (see repro.core.scip: NORMAL /
         # DENIED / DEMOTED) and ``time`` the eviction clock, so a ghost hit
         # can resume the object's state and measure its return gap.
-        self._entries: "OrderedDict[int, Tuple[int, bool, int, int]]" = OrderedDict()
+        self._entries: "OrderedDict[int, Tuple[int, int, int, int]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -68,18 +70,18 @@ class HistoryList:
         return key in self._entries
 
     def add(
-        self, key: int, size: int, was_hit: bool = False, flag: int = 0, time: int = 0
+        self, key: int, size: int, hits: int = 0, flag: int = 0, time: int = 0
     ) -> None:
         """Record an evicted object (paper's ``ADD``): append at the MRU end,
         trimming the LRU end to the byte budget first.  Re-adding an existing
-        key refreshes it (moves to MRU end, updates size and token)."""
+        key refreshes it (moves to MRU end, updates size and hit count)."""
         if key in self._entries:
             self.bytes -= self._entries.pop(key)[0]
         while self._entries and self.bytes + size > self.capacity:
             _, (old_size, _, _, _) = self._entries.popitem(last=False)
             self.bytes -= old_size
         if size <= self.capacity:
-            self._entries[key] = (size, was_hit, flag, time)
+            self._entries[key] = (size, hits, flag, time)
             self.bytes += size
 
     def delete(self, key: int) -> bool:
@@ -91,10 +93,10 @@ class HistoryList:
         self.bytes -= entry[0]
         return True
 
-    def pop(self, key: int) -> Optional[Tuple[int, bool, int, int]]:
-        """Ghost lookup returning the entry ``(size, was_hit, flag, time)``
+    def pop(self, key: int) -> Optional[Tuple[int, int, int, int]]:
+        """Ghost lookup returning the entry ``(size, hits, flag, time)``
         and deleting it, or ``None`` when absent.  SCIP's miss path uses this
-        to read the hit token, episode kind and eviction time of the ended
+        to read the hit count, episode kind and eviction time of the ended
         episode."""
         entry = self._entries.pop(key, None)
         if entry is None:

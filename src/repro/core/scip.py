@@ -57,15 +57,16 @@ selection rules (LRU-K, LRB) for the Figure 12 experiment.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
-from repro.cache.base import LRU_POS, MRU_POS, QueueCache
+from repro.cache.base import LRU_POS, MRU_POS, CachePolicy, QueueCache
 from repro.cache.queue import Node
 from repro.core.history import HistoryList
 from repro.core.learning import LAMBDA_MAX, LAMBDA_MIN, LearningRateController
 from repro.core.mab import PositionBandit
-from repro.sim.request import Request
+from repro.sim.request import Request, requests_from_arrays
 
 __all__ = ["SCIPCache", "NORMAL", "DENIED", "DEMOTED", "SUSPECT", "CLEARED"]
 
@@ -76,6 +77,13 @@ DENIED = 1    # inserted at LRU as a recognised recurring ZRO
 DEMOTED = 2   # demoted on a hit as a recognised P-ZRO
 SUSPECT = 4   # next hit should be demoted (node-only bit)
 CLEARED = 3   # a past P-ZRO suspicion was disproved: do not re-arm
+
+#: What :meth:`SCIPCache.replay_columns` inlines; overriding any of these
+#: sends a subclass back to the per-request hook path.
+_INLINED = (
+    "request", "_lookup", "_hit", "_miss", "_make_room", "evict_node", "_choose_victim",
+    "_insert_position", "_on_hit", "_on_insert", "_on_evict", "_long_gap", "_deny", "_suspect",
+)
 
 
 class SCIPCache(QueueCache):
@@ -417,12 +425,351 @@ class SCIPCache(QueueCache):
             # A full MRU->LRU traversal measures the cache lifetime.
             self._tenure_ewma += 0.02 * ((self.clock - node.stamp) - self._tenure_ewma)
             self.h_m.add(
-                node.key, node.size, was_hit=node.hit_token or 0, flag=flag, time=self.clock
+                node.key, node.size, hits=node.hit_token or 0, flag=flag, time=self.clock
             )
         else:
             self.h_l.add(
-                node.key, node.size, was_hit=node.hit_token or 0, flag=flag, time=self.clock
+                node.key, node.size, hits=node.hit_token or 0, flag=flag, time=self.clock
             )
+
+    # -- bulk replay: Algorithm 1 + the per-object layer in one loop ---------------------
+    def _fast_replay_eligible(self) -> bool:
+        """Whether :meth:`replay_columns` may run its inlined loop.
+
+        The loop reproduces ``request``/``_hit``/``_on_hit``/``_miss``/
+        ``_on_evict`` and the helpers they call as written in *this* class,
+        so it engages only when none of them is overridden (``SCICache``,
+        ``SCIPLRUK``, ``SCIPLRB`` keep the hook path) and no probe is
+        attached anywhere in the learner stack (the loop passes the hook
+        points by, so tracing selects the instrumented path).
+        """
+        if (
+            self._probe is not None
+            or self.bandit._probe is not None
+            or self.lr._probe is not None
+        ):
+            return False
+        cls = type(self)
+        return all(getattr(cls, name) is getattr(SCIPCache, name) for name in _INLINED)
+
+    def replay(self, requests, out: Optional[list] = None) -> None:
+        """Bulk replay; bit-identical to per-request :meth:`request` calls."""
+        if not self._fast_replay_eligible():
+            return CachePolicy.replay(self, requests, out)
+        if not isinstance(requests, (list, tuple)):
+            requests = list(requests)
+        self.replay_columns([r.key for r in requests], [r.size for r in requests], out)
+
+    def replay_columns(self, keys: list, sizes: list, out: Optional[list] = None) -> None:
+        """Replay parallel ``keys``/``sizes`` lists (a trace chunk's columns).
+
+        State-exact with one :meth:`request` call per element — decisions,
+        counters, queue order with every node's flags/stamp/token, both
+        history lists, the ω pair, λ and the RNG stream — but as a single
+        loop over the policy's own structures: no ``Request`` objects, no
+        method dispatch, counters in locals folded back at the end (so a
+        trace split across calls equals one call).  Float operation order
+        and the number and order of RNG draws follow the hook path; the
+        per-miss steps are only regrouped where they touch disjoint state
+        (the ω penalty before the escape draw, ``SELECT`` before the
+        evictions).  ``tests/sim/test_batch_equivalence.py`` pins all of it
+        against the ``request`` loop.
+        """
+        if len(keys) != len(sizes):
+            raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
+        if not self._fast_replay_eligible():
+            return CachePolicy.replay(self, requests_from_arrays(keys, sizes), out)
+        index = self.index
+        index_get = index.get
+        queue = self.queue
+        sentinel = queue._sentinel
+        capacity = self.capacity
+        node_cls = Node
+        append = out.append if out is not None else None
+        h_m = self.h_m
+        h_l = self.h_l
+        hm_entries = h_m._entries
+        hl_entries = h_l._entries
+        hm_pop = hm_entries.pop
+        hl_pop = hl_entries.pop
+        conf = self._pzro_conf
+        bandit = self.bandit
+        escape_draw = self._rng.random  # _deny / _suspect
+        select_draw = bandit.rng.random  # SELECT and the promotion draw
+        lr_update = self.lr.update
+        escape = self.escape
+        gap_factor = self.deny_gap_factor
+        promote_threshold = self.promote_threshold
+        per_object = self.per_object
+        use_hit_token = self.use_hit_token
+        update_interval = self.update_interval
+        threshold_mode = bandit.mode == "threshold"
+        # Loop-local mirrors of instance state, folded back after the loop.
+        used = self.used
+        clock = self.clock
+        qbytes = queue.bytes
+        count = queue._count
+        hits = misses = bytes_hit = bytes_missed = evictions = bypasses = 0
+        ghost_m = ghost_l = denials = demotions = pen_mru = pen_lru = 0
+        tenure = self._tenure_ewma
+        w_mru = bandit.w_mru
+        w_lru = bandit.w_lru
+        lam = self.lr.value
+        decay = math.exp(-lam)
+        # The hit-rate window as offsets of the counters above: requests in
+        # the window = clock - win_start, hits in it = hits - win_hits_from.
+        win_start = clock - self._win_reqs
+        win_hits_from = -self._win_hits
+        boundary = win_start + update_interval
+        # Evicted nodes are recycled for later inserts (see QueueCache.replay).
+        pool: list = []
+        pool_pop = pool.pop
+        pool_append = pool.append
+        for key, size in zip(keys, sizes):
+            clock += 1
+            node = index_get(key)
+            if node is not None:
+                # Hit: C.REMOVE, then re-insert as the special missing object.
+                admit = False
+                need = 0
+                hits += 1
+                bytes_hit += size
+                node.hit_token += 1
+                if node.size != size:
+                    d = size - node.size
+                    used += d
+                    qbytes += d
+                    node.size = size
+                prev = node.prev
+                nxt = node.next
+                prev.next = nxt
+                nxt.prev = prev
+                flags = node.data or NORMAL
+                if flags & SUSPECT:
+                    node.data = DEMOTED
+                    to_mru = False
+                    demotions += 1
+                else:
+                    if flags & DEMOTED:
+                        conf[key] = max(conf.get(key, 0) - 2, -4)
+                    node.data = flags & ~DENIED
+                    if threshold_mode:
+                        to_mru = w_mru > promote_threshold
+                    else:
+                        to_mru = (
+                            w_mru >= promote_threshold
+                            or select_draw() < w_mru / promote_threshold
+                        )
+                node.inserted_mru = to_mru
+                if to_mru:
+                    node.stamp = clock  # promotion restarts the traversal clock
+                    head = sentinel.next
+                    node.prev = sentinel
+                    node.next = head
+                    head.prev = node
+                    sentinel.next = node
+                else:
+                    tail = sentinel.prev
+                    node.next = sentinel
+                    node.prev = tail
+                    tail.next = node
+                    sentinel.prev = node
+                if append is not None:
+                    append(True)
+            else:
+                misses += 1
+                bytes_missed += size
+                if append is not None:
+                    append(False)
+                need = 0
+                admit = size <= capacity
+                if not admit:
+                    bypasses += 1
+                else:
+                    # Ghost evidence -> ω penalty, per-object action, position.
+                    need = size
+                    iflags = NORMAL
+                    penalty = act = 0  # penalty: 1 = ω_m, 2 = ω_l; act: 1 = deny, 2 = suspect
+                    to_mru = None
+                    entry = hm_pop(key, None)
+                    if entry is not None:
+                        esize, ghits, gflag, etime = entry
+                        h_m.bytes -= esize
+                        ghost_m += 1
+                        if not per_object:
+                            penalty = 1
+                        elif not (clock - etime) > gap_factor * tenure:
+                            to_mru = True
+                        elif not use_hit_token or ghits == 0:
+                            penalty = act = 1
+                        elif ghits == 1:
+                            penalty = 1
+                            to_mru = True
+                            if conf.get(key, 0) >= 0:
+                                act = 2
+                        else:
+                            to_mru = True
+                    else:
+                        entry = hl_pop(key, None)
+                        if entry is not None:
+                            esize, ghits, gflag, etime = entry
+                            h_l.bytes -= esize
+                            long_gap = (clock - etime) > gap_factor * tenure
+                            if not per_object:
+                                penalty = 2
+                                ghost_l += 1
+                            elif gflag == DENIED and ghits == 0 and long_gap:
+                                penalty = act = 1
+                            elif gflag == DEMOTED and long_gap:
+                                conf[key] = min(conf.get(key, 0) + 1, 3)
+                                penalty = 1
+                                to_mru = True
+                                act = 2
+                            else:
+                                if gflag == NORMAL:
+                                    penalty = 2
+                                    ghost_l += 1
+                                elif gflag == DEMOTED:
+                                    conf[key] = max(conf.get(key, 0) - 2, -4)
+                                to_mru = True
+                    if penalty:
+                        if penalty == 1:
+                            w_mru *= decay
+                            pen_mru += 1
+                        else:
+                            w_lru *= decay
+                            pen_lru += 1
+                        total = w_mru + w_lru
+                        if total <= 0.0:  # pragma: no cover - as PositionBandit._normalize
+                            w_mru = w_lru = 0.5
+                        else:
+                            w_mru /= total
+                            w_lru = 1.0 - w_mru
+                            if w_mru < 0.01:
+                                w_mru = 0.01
+                                w_lru = 1.0 - 0.01
+                            elif w_lru < 0.01:
+                                w_lru = 0.01
+                                w_mru = 1.0 - 0.01
+                    if act == 1:
+                        if escape_draw() < escape:
+                            to_mru = True
+                        else:
+                            to_mru = False
+                            iflags = DENIED
+                            denials += 1
+                    elif act == 2:
+                        if escape_draw() >= escape:
+                            iflags = SUSPECT
+                    if to_mru is None:
+                        if threshold_mode:
+                            to_mru = w_mru > 0.5
+                        else:
+                            to_mru = w_mru > select_draw()
+            # Make room (an admitted miss, or a hit whose object grew).
+            while used + need > capacity and index:
+                victim = sentinel.prev
+                p = victim.prev
+                p.next = sentinel
+                sentinel.prev = p
+                vkey = victim.key
+                vsize = victim.size
+                del index[vkey]
+                used -= vsize
+                qbytes -= vsize
+                count -= 1
+                evictions += 1
+                flags = victim.data or NORMAL
+                if flags & DENIED:
+                    flag = DENIED
+                elif flags & DEMOTED:
+                    flag = DEMOTED
+                else:
+                    flag = NORMAL
+                if victim.inserted_mru:
+                    tenure += 0.02 * ((clock - victim.stamp) - tenure)
+                    hist = h_m
+                else:
+                    hist = h_l
+                entries = hist._entries
+                hbytes = hist.bytes
+                hcap = hist.capacity
+                if vkey in entries:
+                    hbytes -= entries.pop(vkey)[0]
+                while entries and hbytes + vsize > hcap:
+                    hbytes -= entries.popitem(last=False)[1][0]
+                if vsize <= hcap:
+                    entries[vkey] = (vsize, victim.hit_token or 0, flag, clock)
+                    hbytes += vsize
+                hist.bytes = hbytes
+                pool_append(victim)
+            if admit:
+                if pool:
+                    node = pool_pop()
+                    node.key = key
+                    node.size = size
+                    node.hit_token = 0
+                else:
+                    node = node_cls(key, size)
+                node.inserted_mru = to_mru
+                node.data = iflags
+                node.stamp = clock
+                if to_mru:
+                    head = sentinel.next
+                    node.prev = sentinel
+                    node.next = head
+                    head.prev = node
+                    sentinel.next = node
+                else:
+                    tail = sentinel.prev
+                    node.next = sentinel
+                    node.prev = tail
+                    tail.next = node
+                    sentinel.prev = node
+                count += 1
+                qbytes += size
+                index[key] = node
+                used += size
+            if clock >= boundary:
+                # UPDATELR, and the confidence map bounded to metadata scale.
+                hit_rate = (hits - win_hits_from) / (clock - win_start)
+                lam = lr_update(hit_rate, self._prev_hit_rate)
+                decay = math.exp(-lam)
+                self._prev_hit_rate = hit_rate
+                win_start = clock
+                win_hits_from = hits
+                boundary = clock + update_interval
+                if len(conf) > 4 * (len(hm_entries) + len(hl_entries)) + 4096:
+                    known = set(hm_entries) | set(hl_entries) | set(index)
+                    conf = self._pzro_conf = {
+                        k: v for k, v in conf.items() if k in known
+                    }
+        # Cut leftover pooled nodes loose so they don't pin ring neighbours.
+        for n in pool:
+            n.prev = None
+            n.next = None
+        self.used = used
+        self.clock = clock
+        queue.bytes = qbytes
+        queue._count = count
+        st = self.stats
+        st.hits += hits
+        st.misses += misses
+        st.bytes_hit += bytes_hit
+        st.bytes_missed += bytes_missed
+        st.evictions += evictions
+        st.bypasses += bypasses
+        self._win_reqs = clock - win_start
+        self._win_hits = hits - win_hits_from
+        self.ghost_hits_m += ghost_m
+        self.ghost_hits_l += ghost_l
+        self.zro_denials += denials
+        self.pzro_demotions += demotions
+        self._tenure_ewma = tenure
+        bandit.w_mru = w_mru
+        bandit.w_lru = w_lru
+        bandit.penalties_mru += pen_mru
+        bandit.penalties_lru += pen_lru
 
     # -- introspection ------------------------------------------------------------------
     @property

@@ -20,8 +20,9 @@ before/after perf trajectory to extend, not just a point measurement.
 
 Schema 2 adds two array-engine measurements.  Batch-capable policies
 (:data:`repro.sim.batch.BATCH_POLICIES`) get a ``tps_batch`` column — the
-structure-of-arrays core replaying the same in-memory trace, asserted
-bit-identical on miss ratios against the rich engine.  The ``streaming``
+batch core (structure-of-arrays for LRU/FIFO/CLOCK/SIEVE, SCIP's inlined
+column loop) replaying the same in-memory trace, asserted bit-identical
+on miss ratios against the rich engine.  The ``streaming``
 section is the paper-scale shape in miniature: a constant-memory
 generator writes a binary trace file, and the batch LRU core replays it
 from disk (mmap, chunked) at a no-eviction capacity — the configuration

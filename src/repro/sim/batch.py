@@ -41,6 +41,13 @@ state is migrated — in recency order — into the real registry policy,
 which finishes the replay with reference semantics.  Memory stays bounded
 at any trace length: slot arrays are compacted (live slots renumbered,
 key map rebuilt from live slots only) as the boundary advances.
+
+SCIP is the fifth core and not an array model: its tail insertions
+(denials, demotions) and data-dependent RNG draws break the monotone
+boundary, so :class:`BatchSCIP` *is* the registry policy, fed each chunk's
+columns through :meth:`repro.core.scip.SCIPCache.replay_columns` — one
+scalar inlined loop over the policy's own queue, history lists, bandit and
+RNG.  State-exact with the per-request path, and nothing to spill.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.cache.queue import Node
+from repro.core.scip import SCIPCache
 from repro.sim.engine import SimResult
 from repro.sim.metrics import MetricsCollector
 from repro.sim.request import Trace, requests_from_arrays
@@ -64,6 +72,7 @@ __all__ = [
     "BatchFIFO",
     "BatchClock",
     "BatchSieve",
+    "BatchSCIP",
     "BATCH_POLICIES",
     "batch_supported",
     "make_batch_policy",
@@ -898,6 +907,20 @@ class BatchSieve(_ScalarRingCore):
 
 
 # ---------------------------------------------------------------------------
+# SCIP: the policy itself behind the chunk protocol
+# ---------------------------------------------------------------------------
+class BatchSCIP(SCIPCache):
+    """The registry policy behind the chunk protocol (module docstring):
+    size changes, bypasses and λ restarts are native cases of
+    :meth:`SCIPCache.replay_columns`, so there is never a spill."""
+
+    spilled = False
+
+    def process_chunk(self, times, keys, sizes, out: Optional[list] = None) -> None:
+        self.replay_columns(np.asarray(keys).tolist(), np.asarray(sizes).tolist(), out)
+
+
+# ---------------------------------------------------------------------------
 # Registry + engine entry points
 # ---------------------------------------------------------------------------
 BATCH_POLICIES = {
@@ -905,6 +928,7 @@ BATCH_POLICIES = {
     "FIFO": BatchFIFO,
     "CLOCK": BatchClock,
     "SIEVE": BatchSieve,
+    "SCIP": BatchSCIP,
 }
 
 

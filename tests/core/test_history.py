@@ -41,7 +41,7 @@ class TestBasics:
 
     def test_pop_returns_entry(self):
         h = HistoryList(100)
-        h.add(1, 10, was_hit=2, flag=1, time=42)
+        h.add(1, 10, hits=2, flag=1, time=42)
         entry = h.pop(1)
         assert entry == (10, 2, 1, 42)
         assert h.pop(1) is None

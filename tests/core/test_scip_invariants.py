@@ -104,7 +104,7 @@ def test_history_list_never_exceeds_its_byte_budget(ops, capacity):
     shadow: dict = {}  # key -> size, the expected contents modulo FIFO trims
     for op, key, size in ops:
         if op == 0:
-            h.add(key, size, was_hit=bool(size % 2), flag=size % 3, time=size)
+            h.add(key, size, hits=size % 2, flag=size % 3, time=size)
             if size <= capacity:
                 shadow[key] = size
         elif op == 1:

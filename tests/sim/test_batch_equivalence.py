@@ -1,22 +1,29 @@
 """Bit-exactness harness: the array-backed batch engine vs the rich engine.
 
 The batch cores in :mod:`repro.sim.batch` are an independent
-reimplementation of LRU/FIFO/CLOCK/SIEVE over structure-of-arrays chunks;
-nothing about them is allowed to be "approximately" right.  For every
-batch-supported policy this harness replays the same trace through both
-engines and asserts **identical**:
+reimplementation of LRU/FIFO/CLOCK/SIEVE over structure-of-arrays chunks,
+plus SCIP's inlined column loop over the policy's own state; nothing about
+them is allowed to be "approximately" right.  The oracle is the rich
+policy driven one ``request()`` call at a time — never ``replay``, which
+for LRU and SCIP is itself an inlined loop.  For every batch-supported
+policy this harness replays the same trace through both and asserts
+**identical**:
 
 * per-request hit/miss decision streams,
 * aggregate stats (hits, misses, evictions, bypasses, byte counters),
-* used bytes and resident-object count,
-* final resident sets — in recency/insertion *order* for LRU/FIFO, as a
-  set for the ring policies (CLOCK/SIEVE order their ring by hand
+* used bytes, clock and resident-object count,
+* final resident sets — in recency/insertion *order* for LRU/FIFO/SCIP, as
+  a set for the ring policies (CLOCK/SIEVE order their ring by hand
   position, which the rich implementations expose differently),
+* for SCIP the whole learner state as well (:func:`scip_state`): per-node
+  flags/stamps/tokens in queue order, both history lists in FIFO order,
+  the ω pair, λ and its controller, the diagnostics and the RNG state,
 
 across golden CDN workloads and seeded random traces (including
-inconsistent-size traces that force the spill-to-rich fallback), at
-multiple cache sizes, and — the batch-specific axis — at multiple chunk
-sizes, which must not change a single decision.
+inconsistent-size traces that force the LRU/FIFO spill-to-rich fallback
+and that SCIP replays natively), at multiple cache sizes, and — the
+batch-specific axis — at multiple chunk sizes, which must not change a
+single decision.
 """
 
 from __future__ import annotations
@@ -28,6 +35,11 @@ from repro.cache.clock import ClockCache
 from repro.cache.fifo import FIFOCache
 from repro.cache.lru import LRUCache
 from repro.cache.sieve import SieveCache
+from repro.core.enhance import SCIPLRUK
+from repro.core.sci import SCICache
+from repro.core.scip import SCIPCache
+from repro.obs.probe import Probe
+from repro.obs.sinks import RegistryRecorder
 from repro.sim.batch import (
     BATCH_POLICIES,
     batch_replay,
@@ -38,8 +50,16 @@ from repro.sim.batch import (
 from repro.sim.engine import simulate
 from repro.sim.request import Trace, requests_from_arrays
 from repro.traces.cdn import make_workload
+from tests.sim.test_golden_traces import GOLDEN as GOLDEN_SHA
+from tests.sim.test_golden_traces import _hit_seq_sha256
 
-RICH = {"LRU": LRUCache, "FIFO": FIFOCache, "CLOCK": ClockCache, "SIEVE": SieveCache}
+RICH = {
+    "LRU": LRUCache,
+    "FIFO": FIFOCache,
+    "CLOCK": ClockCache,
+    "SIEVE": SieveCache,
+    "SCIP": SCIPCache,
+}
 
 _STAT_FIELDS = ("hits", "misses", "evictions", "bypasses", "bytes_hit", "bytes_missed")
 
@@ -53,38 +73,73 @@ def _rich_resident(policy, name):
     return list(ring.keys())
 
 
-def assert_equivalent(name, keys, sizes, cap, chunk):
-    """Replay (keys, sizes) through both engines; assert bit-exactness."""
-    keys = np.asarray(keys, np.int64)
-    sizes = np.asarray(sizes, np.int64)
-    m = len(keys)
+def scip_state(policy):
+    """Everything a SCIP instance carries from one request to the next."""
+    lr, bandit = policy.lr, policy.bandit
+    return {
+        "nodes": [
+            (n.key, n.size, n.inserted_mru, n.hit_token, n.data, n.stamp)
+            for n in policy.queue
+        ],
+        "queue": (len(policy.queue), policy.queue.bytes),
+        "h_m": (list(policy.h_m._entries.items()), policy.h_m.bytes),
+        "h_l": (list(policy.h_l._entries.items()), policy.h_l.bytes),
+        "weights": (policy.w_mru, bandit.w_lru, bandit.penalties_mru, bandit.penalties_lru),
+        "lambda": (
+            policy.learning_rate, lr._prev, lr._prev2, lr.unlearn_count, lr.updates, lr.restarts
+        ),
+        "window": (policy._win_hits, policy._win_reqs, policy._prev_hit_rate),
+        "diagnostics": (
+            policy.ghost_hits_m, policy.ghost_hits_l, policy.zro_denials, policy.pzro_demotions
+        ),
+        "tenure_ewma": policy._tenure_ewma,
+        "pzro_conf": policy._pzro_conf,
+        "rng": policy._rng.getstate(),
+    }
 
-    rich = RICH[name](cap)
-    out_rich: list = []
-    rich.replay(requests_from_arrays(keys, sizes, np.arange(m, dtype=np.int64)), out_rich)
 
-    batch = make_batch_policy(name, cap)
-    out_batch: list = []
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        batch.process_chunk(
-            np.arange(lo, hi, dtype=np.int64), keys[lo:hi], sizes[lo:hi], out_batch
-        )
-
-    assert out_rich == out_batch, f"{name}: decision streams differ"
+def assert_same_end_state(name, rich, batch):
     for field in _STAT_FIELDS:
         assert getattr(rich.stats, field) == getattr(batch.stats, field), (
             f"{name}: stats.{field} rich={getattr(rich.stats, field)} "
             f"batch={getattr(batch.stats, field)}"
         )
     assert rich.used == batch.used
+    assert rich.clock == batch.clock
     assert len(rich) == len(batch)
     rich_res = _rich_resident(rich, name)
     batch_res = batch.resident_keys()
-    if name in ("LRU", "FIFO"):
+    if name in ("LRU", "FIFO", "SCIP"):
         assert rich_res == batch_res, f"{name}: resident order differs"
     else:
         assert sorted(rich_res) == sorted(batch_res), f"{name}: resident set differs"
+    if name == "SCIP":
+        want, got = scip_state(rich), scip_state(batch)
+        for part in want:
+            assert want[part] == got[part], f"SCIP: {part} differs"
+        batch.check_invariants()
+
+
+def replay_chunks(core, keys, sizes, chunk, out):
+    for lo in range(0, len(keys), chunk):
+        hi = min(lo + chunk, len(keys))
+        core.process_chunk(np.arange(lo, hi, dtype=np.int64), keys[lo:hi], sizes[lo:hi], out)
+
+
+def assert_equivalent(name, keys, sizes, cap, chunk):
+    """Replay (keys, sizes) through both engines; assert bit-exactness."""
+    keys = np.asarray(keys, np.int64)
+    sizes = np.asarray(sizes, np.int64)
+
+    rich = RICH[name](cap)
+    out_rich = [rich.request(req) for req in requests_from_arrays(keys, sizes)]
+
+    batch = make_batch_policy(name, cap)
+    out_batch: list = []
+    replay_chunks(batch, keys, sizes, chunk, out_batch)
+
+    assert out_rich == out_batch, f"{name}: decision streams differ"
+    assert_same_end_state(name, rich, batch)
     return batch
 
 
@@ -102,13 +157,22 @@ def _random_trace(seed):
     return keys, sizes
 
 
-@pytest.fixture(scope="module")
-def golden():
-    trace = make_workload("CDN-T", n_requests=15_000, seed=3)
+def _columns(workload):
+    trace = make_workload(workload, n_requests=15_000, seed=3)
     keys = np.array([r.key for r in trace.requests], np.int64)
     sizes = np.array([r.size for r in trace.requests], np.int64)
     wss = int(sizes[np.unique(keys, return_index=True)[1]].sum())
     return keys, sizes, wss
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return _columns("CDN-T")
+
+
+@pytest.fixture(scope="module")
+def golden_w():
+    return _columns("CDN-W")
 
 
 class TestGoldenTraces:
@@ -118,6 +182,12 @@ class TestGoldenTraces:
     def test_golden_bit_exact(self, golden, name, cap_div, chunk):
         keys, sizes, wss = golden
         assert_equivalent(name, keys, sizes, max(wss // cap_div, 1), chunk)
+
+    @pytest.mark.parametrize("cap_div", [50, 8])
+    @pytest.mark.parametrize("chunk", [1 << 20, 337])
+    def test_scip_bit_exact_on_cdn_w(self, golden_w, cap_div, chunk):
+        keys, sizes, wss = golden_w
+        assert_equivalent("SCIP", keys, sizes, max(wss // cap_div, 1), chunk)
 
     @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
     def test_chunk_size_changes_nothing(self, golden, name):
@@ -129,11 +199,7 @@ class TestGoldenTraces:
         for chunk in (1 << 20, 1999, 613):
             out: list = []
             core = make_batch_policy(name, cap)
-            for lo in range(0, len(keys), chunk):
-                hi = min(lo + chunk, len(keys))
-                core.process_chunk(
-                    np.arange(lo, hi, dtype=np.int64), keys[lo:hi], sizes[lo:hi], out
-                )
+            replay_chunks(core, keys, sizes, chunk, out)
             state = (out, core.used, core.resident_keys(), core.stats.evictions)
             if reference is None:
                 reference = state
@@ -157,8 +223,10 @@ class TestRandomTraces:
         if name in ("LRU", "FIFO"):
             # The queue cores' slot model assumes stable per-key sizes and
             # must answer violations by spilling to the rich policy; the
-            # ring cores replay per-request and need no fallback.
+            # ring cores and SCIP replay per-request and need no fallback.
             assert core.spilled, "inconsistent sizes must trip the rich fallback"
+        elif name == "SCIP":
+            assert not core.spilled
 
     @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
     def test_empty_and_single_request(self, name):
@@ -216,8 +284,159 @@ class TestSimulateBatch:
 
     def test_batch_supported_matches_registry(self):
         assert batch_supported("LRU") and batch_supported("SIEVE")
-        assert not batch_supported("SCIP")
-        assert set(BATCH_POLICIES) == {"LRU", "FIFO", "CLOCK", "SIEVE"}
+        assert batch_supported("SCIP")
+        assert not batch_supported("ARC")
+        assert set(BATCH_POLICIES) == {"LRU", "FIFO", "CLOCK", "SIEVE", "SCIP"}
+
+    @pytest.mark.parametrize("warmup", [0, 1_500, 2_000, 2_001, 6_000, 6_005])
+    def test_scip_warmup_inside_at_and_past_a_chunk_boundary(self, tmp_path, warmup):
+        from repro.traces.binfmt import read_bin, write_bin
+
+        trace = make_workload("CDN-T", n_requests=6_000, seed=5)
+        cap = max(int(trace.working_set_size * 0.05), 1)
+        path = tmp_path / "t.bin"
+        write_bin(trace, path)
+        rich = simulate(SCIPCache(cap), read_bin(path), warmup=warmup, fast=False)
+        batch = simulate_batch("SCIP", str(path), cap, warmup=warmup, chunk_size=1_000)
+        assert batch.requests == rich.requests
+        for field in ("requests", "hits", "misses", "bytes_missed", "bytes_requested"):
+            assert getattr(batch.metrics, field) == getattr(rich.metrics, field), field
+        assert batch.miss_ratio == rich.miss_ratio
+        assert batch.byte_miss_ratio == rich.byte_miss_ratio
+        # the finished core is the policy itself, diagnostics included
+        assert isinstance(batch.policy_obj, SCIPCache)
+        batch.policy_obj.check_invariants()
+        assert list(batch.policy_obj.export_residents()) == list(
+            rich.policy_obj.export_residents()
+        )
+
+
+    def test_scip_mrc_sweep_equals_per_size_rich_replays(self, tmp_path):
+        from repro.cache.registry import make_policy
+        from repro.sim.parallel import mrc_sweep
+        from repro.traces.binfmt import read_bin, write_bin
+
+        path = tmp_path / "t.bin"
+        write_bin(make_workload("CDN-T", n_requests=20_000, seed=7), path)
+        rows = mrc_sweep(path, "SCIP", fractions=(0.01, 0.05, 0.2), max_workers=2)
+        assert len(rows) == 3
+        trace = read_bin(path)
+        for row in rows:
+            rich = simulate(make_policy("SCIP", row["cache_bytes"]), trace, fast=False)
+            st = rich.policy_obj.stats
+            assert (row["hits"], row["misses"], row["evictions"]) == (
+                st.hits, st.misses, st.evictions
+            ), row["cache_fraction"]
+            assert not row["spilled"]
+
+
+class TestScipLoop:
+    """`SCIPCache.replay_columns` fed directly, on the configurations the
+    registry default does not reach, and the instances that must not take it."""
+
+    @staticmethod
+    def _pair(golden, configure, cap_div=50, **kwargs):
+        keys, sizes, wss = golden
+        cap = max(wss // cap_div, 1)
+        hooks, loop = SCIPCache(cap, **kwargs), SCIPCache(cap, **kwargs)
+        for policy in (hooks, loop):
+            configure(policy)
+        return keys.tolist(), sizes.tolist(), hooks, loop
+
+    @pytest.mark.parametrize(
+        "kwargs, mode",
+        [
+            ({}, "bernoulli"),
+            ({"promote_threshold": 0.3, "update_interval": 97}, "bernoulli"),
+            ({"per_object": False}, "threshold"),
+            ({"per_object": False}, "bernoulli"),
+            ({"use_hit_token": False}, "threshold"),
+            ({"history_fraction": 0.5, "seed": 11}, "threshold"),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [1 << 20, 337])
+    def test_variants_state_exact(self, golden, kwargs, mode, chunk):
+        def configure(policy):
+            policy.bandit.mode = mode
+
+        keys, sizes, hooks, loop = self._pair(golden, configure, **kwargs)
+        want = [hooks.request(req) for req in requests_from_arrays(keys, sizes)]
+        got: list = []
+        for lo in range(0, len(keys), chunk):
+            loop.replay_columns(keys[lo : lo + chunk], sizes[lo : lo + chunk], got)
+        assert got == want
+        assert_same_end_state("SCIP", hooks, loop)
+
+    def test_confidence_map_is_pruned_at_the_same_window(self, golden):
+        def configure(policy):
+            # over the 4 * ghosts + 4096 bound from the first window on
+            policy._pzro_conf = {-k: 1 for k in range(1, 200_000)}
+
+        keys, sizes, hooks, loop = self._pair(golden, configure)
+        for req in requests_from_arrays(keys, sizes):
+            hooks.request(req)
+        loop.replay_columns(keys, sizes)
+        assert len(loop._pzro_conf) < 10_000
+        assert_same_end_state("SCIP", hooks, loop)
+
+    def test_replay_is_the_same_loop(self, golden):
+        keys, sizes, hooks, loop = self._pair(golden, lambda policy: None)
+        requests = requests_from_arrays(keys, sizes)
+        want = [hooks.request(req) for req in requests]
+        got: list = []
+        loop.replay(iter(requests), got)  # any iterable, as CachePolicy.replay
+        assert got == want
+        assert_same_end_state("SCIP", hooks, loop)
+
+    def test_length_mismatch_is_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            SCIPCache(100).replay_columns([1, 2], [10])
+
+
+class TestHookPathGuards:
+    """Subclasses that override a hook, and any probed instance, keep the
+    per-request path — through ``replay`` and through ``replay_columns``."""
+
+    @pytest.mark.parametrize("entry", ["replay", "replay_columns"])
+    def test_sci_keeps_its_own_promotion(self, cdn_t_small, entry):
+        gold = GOLDEN_SHA["CDN-T|0.02|SCI"]
+        policy = SCICache(gold["capacity"])
+        assert not policy._fast_replay_eligible()
+        out: list = []
+        if entry == "replay":
+            policy.replay(cdn_t_small.requests, out)
+        else:
+            requests = cdn_t_small.requests
+            policy.replay_columns([r.key for r in requests], [r.size for r in requests], out)
+        assert _hit_seq_sha256(out) == gold["hit_seq_sha256"]
+        assert _hit_seq_sha256(out) != GOLDEN_SHA["CDN-T|0.02|SCIP"]["hit_seq_sha256"]
+
+    def test_scip_lruk_keeps_its_victim_selection(self, cdn_t_small):
+        cap = GOLDEN_SHA["CDN-T|0.02|SCIP"]["capacity"]
+        bulk, loop = SCIPLRUK(cap), SCIPLRUK(cap)
+        assert not bulk._fast_replay_eligible()
+        out: list = []
+        bulk.replay(cdn_t_small.requests, out)
+        assert out == [loop.request(req) for req in cdn_t_small.requests]
+        assert bulk._atimes == loop._atimes and bulk._atimes  # only request() records them
+        assert bulk.resident_keys() == loop.resident_keys()
+
+    @pytest.mark.parametrize("where", ["policy", "bandit", "lr"])
+    def test_probed_scip_emits_and_matches_golden(self, cdn_t_small, where):
+        gold = GOLDEN_SHA["CDN-T|0.02|SCIP"]
+        policy = SCIPCache(gold["capacity"])
+        assert policy._fast_replay_eligible()
+        recorder = RegistryRecorder()
+        probe = Probe([recorder])
+        target = {"policy": policy, "bandit": policy.bandit, "lr": policy.lr}[where]
+        target.attach_probe(probe)
+        assert not policy._fast_replay_eligible()
+        out: list = []
+        policy.replay(cdn_t_small.requests, out)
+        assert _hit_seq_sha256(out) == gold["hit_seq_sha256"]
+        assert probe.seq > 0, "the hook points were passed by"
+        target.detach_probe()
+        assert policy._fast_replay_eligible()
 
 
 @pytest.mark.slow

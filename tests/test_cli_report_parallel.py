@@ -31,6 +31,36 @@ class TestCLI:
                    "--fraction", "0.5"])
         assert rc == 0
 
+    @pytest.mark.parametrize("policy", ["LRU", "SCIP"])
+    def test_simulate_bin_file_dispatches_to_the_batch_core(self, tmp_path, capsys, policy):
+        from repro.traces.binfmt import write_bin
+        from repro.traces.cdn import make_workload
+
+        path = tmp_path / "t.bin"
+        write_bin(make_workload("CDN-T", n_requests=8_000, seed=2), path)
+        base = ["simulate", "--policy", policy, "--trace-file", str(path), "--fraction", "0.05"]
+
+        def ratios(extra):
+            assert main(base + extra) == 0
+            line = capsys.readouterr().out.splitlines()[0]
+            return "[batch]" in line, [w for w in line.split() if "miss_ratio=" in w]
+
+        plain, flagged, rich = ratios([]), ratios(["--batch"]), ratios(["--obs-summary"])
+        assert plain[0] and flagged[0] and not rich[0]  # an obs flag keeps the rich engine
+        assert plain[1] == flagged[1] == rich[1] and len(plain[1]) == 2
+
+    def test_simulate_batch_flag_still_insists(self, tmp_path, capsys):
+        from repro.traces.binfmt import write_bin
+        from repro.traces.cdn import make_workload
+
+        path = tmp_path / "t.bin"
+        write_bin(make_workload("CDN-T", n_requests=2_000, seed=2), path)
+        args = ["simulate", "--policy", "ARC", "--trace-file", str(path)]
+        assert main(args + ["--batch"]) == 2
+        assert "no batch core" in capsys.readouterr().out
+        assert main(args) == 0  # no batch core: materialise and replay
+        assert "[batch]" not in capsys.readouterr().out
+
     def test_workload_generate_and_save(self, tmp_path, capsys):
         out_file = tmp_path / "w.tr"
         rc = main(["workload", "--name", "CDN-W", "-n", "4000",
