@@ -813,7 +813,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concurrency", type=int, default=None,
                    help="closed-loop client count (default 64)")
     p.add_argument("--queue-depth", type=int, default=256,
-                   help="per-shard pending-request bound (0 = unbounded, no shedding)")
+                   help="per-shard bound on requests held unanswered, i.e. waiting on "
+                        "an origin fetch; at the bound a request is shed "
+                        "(0 = unbounded, no shedding)")
     p.add_argument("--rate", type=float, default=None,
                    help="target arrival rate, req/s (default: unpaced closed loop)")
     p.add_argument("--origin-latency", type=float, default=None, metavar="MS",

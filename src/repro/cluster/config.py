@@ -52,7 +52,8 @@ class ClusterConfig:
     n_shards:
         Shards per node service.
     queue_depth:
-        Per-shard pending bound (overflow sheds).
+        Per-shard bound on requests held unanswered — decided and waiting
+        on an origin fetch; at the bound a request is shed.
     vnodes:
         Virtual nodes per physical node on the ring.
     origin_latency_mean / origin_latency_jitter / origin_concurrency /

@@ -11,7 +11,7 @@ graceful failover.
    any dead owner skipped, is a **failover** (obs event + counter), not
    an exception.
 3. A miss served at one owner **fills** every other live owner
-   (**write-all fill**, via the serve layer's control-plane fill path) so
+   (**write-all fill**, via the serve layer's stats-clean fill path) so
    a later failover read finds the object resident — this is what makes
    R=2's hit-ratio dip shallower than R=1's when a node dies.
 4. With *no* live owner the request goes **direct to origin**: it is
@@ -56,8 +56,8 @@ class ClusterOutcome:
         ``"cache"`` (a node served it, hit or miss) or ``"origin"``
         (no live owner — uncached direct fetch).
     shed:
-        The serving node's shard queue was full; the request was rejected
-        unserved (backpressure, not failure — no failover is attempted).
+        The serving node's shard was at its unanswered-request bound; the
+        request was rejected unserved (backpressure, not failure — no failover is attempted).
     error:
         Terminal origin-fetch error string after all retries, or ``None``.
     """
@@ -434,7 +434,7 @@ class ClusterRouter:
     # -- introspection -----------------------------------------------------
     @property
     def unhandled_exceptions(self) -> int:
-        """Exceptions escaping any node's shard workers (CI asserts 0)."""
+        """Exceptions contained by any node's shards (CI asserts 0)."""
         return sum(
             node.service.unhandled_exceptions
             for node in self.nodes.values()

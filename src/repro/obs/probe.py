@@ -27,10 +27,10 @@ event                emitted by
 ``fetch``            ``serve.CacheShard`` — leader origin fetch started
 ``fetch_retry``      serve fetch attempt failed/timed out; backing off
 ``fetch_error``      serve fetch failed terminally (after all retries)
-``shed``             serve shard queue full — request rejected unserved
+``shed``             serve shard at its unanswered bound — request shed
 ``shadow_hit``       ``orchestrate.ShadowRack`` — sampled hit in one shadow
 ``policy_switch``    ``orchestrate.Orchestrator`` promotion / ``serve.
-                     CacheShard`` live swap executed on the owner task
+                     CacheShard`` live swap
 ``node_down``        ``cluster.ClusterRouter`` — a node was killed (fault
                      plan or operator action)
 ``node_up``          ``cluster.ClusterRouter`` — a node (re)started cold

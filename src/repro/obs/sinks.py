@@ -64,7 +64,9 @@ class JSONLSink:
     def __init__(self, path: str, header: Optional[dict] = None):
         self.path = str(path)
         if self.path.endswith(".gz"):
-            self._fh = gzip.open(self.path, "wt", encoding="utf-8")
+            # zlib's default level, not gzip.open's 9: a tenth larger on
+            # disk for a third more traced requests per second.
+            self._fh = gzip.open(self.path, "wt", encoding="utf-8", compresslevel=6)
         else:
             self._fh = open(self.path, "w", encoding="utf-8")
         self.written = 0
@@ -112,28 +114,83 @@ class RegistryRecorder:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._folds: dict = {}
 
     def write(self, record: dict) -> None:
-        reg = self.registry
         event = record["event"]
-        reg.counter("events", event=event).inc()
+        fold = self._folds.get(event)
+        if fold is None:
+            fold = self._folds[event] = self._resolve(event)
+        fold(record)
+
+    def _resolve(self, event: str):
+        """Bind ``event``'s instruments on its first record; return the
+        per-record fold.  The registry lookup (label sort + key build) is
+        paid once per event type, not per record; instruments still appear
+        in the registry only once their event has occurred."""
+        reg = self.registry
+        count = reg.counter("events", event=event).inc
         if event == "weight_update":
-            reg.gauge("w_mru").set(record["w_mru"])
-            reg.gauge("w_lru").set(record["w_lru"])
+            w_mru, w_lru = reg.gauge("w_mru").set, reg.gauge("w_lru").set
+
+            def fold(record: dict) -> None:
+                count()
+                w_mru(record["w_mru"])
+                w_lru(record["w_lru"])
+
         elif event == "lambda_update":
-            reg.gauge("lambda").set(record["value"])
+            lam = reg.gauge("lambda").set
+
+            def fold(record: dict) -> None:
+                count()
+                lam(record["value"])
+
         elif event == "lambda_restart":
-            reg.counter("lambda_restarts").inc()
-            reg.gauge("lambda").set(record["value"])
-        elif event == "ghost_hit":
-            reg.counter("ghost_hits", list=record["list"]).inc()
-        elif event == "episode_transition":
-            reg.counter("episodes", to=record["to"]).inc()
+            restarts, lam = reg.counter("lambda_restarts").inc, reg.gauge("lambda").set
+
+            def fold(record: dict) -> None:
+                count()
+                restarts()
+                lam(record["value"])
+
+        elif event in _LABELLED:
+            name, label = _LABELLED[event]
+            by_value: dict = {}
+
+            def fold(record: dict) -> None:
+                count()
+                value = record[label]
+                counter = by_value.get(value)
+                if counter is None:
+                    counter = by_value[value] = reg.counter(name, **{label: value})
+                counter.inc()
+
         elif event == "admit":
-            reg.histogram("admit_bytes").observe(record["size"])
+            admit_bytes = reg.histogram("admit_bytes").observe
+
+            def fold(record: dict) -> None:
+                count()
+                admit_bytes(record["size"])
+
         elif event == "evict":
-            reg.histogram("evict_bytes").observe(record["size"])
-            reg.histogram("evict_tenure_hits").observe(record["hits"])
+            evict_bytes = reg.histogram("evict_bytes").observe
+            tenure = reg.histogram("evict_tenure_hits").observe
+
+            def fold(record: dict) -> None:
+                count()
+                evict_bytes(record["size"])
+                tenure(record["hits"])
+
+        else:
+
+            def fold(record: dict) -> None:
+                count()
+
+        return fold
+
+
+#: event → (counter name, the record field that labels it).
+_LABELLED = {"ghost_hit": ("ghost_hits", "list"), "episode_transition": ("episodes", "to")}
 
 
 class SnapshotEmitter:

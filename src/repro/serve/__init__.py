@@ -2,10 +2,12 @@
 
 Everything else in the repo *replays* traces; this package *serves* them:
 an asyncio cache service that fronts N key-sharded policy instances (each
-owned by exactly one worker task, so SCIP's learner state needs no locks),
+decided in the caller as one synchronous block, so SCIP's learner state
+needs no locks),
 with single-flight origin-fetch coalescing, a simulated origin backend
 (latency distribution, bounded concurrency, timeouts, retry with jittered
-backoff, fault injection), bounded per-shard queues with load shedding,
+backoff, fault injection), a per-shard bound on unanswered requests with
+load shedding,
 and a closed-loop load generator reporting throughput / hit ratio /
 latency percentiles into the shared :mod:`repro.obs` instruments.
 

@@ -214,6 +214,42 @@ class FetchOutcome:
         return f"FetchOutcome(key={self.key!r}, {state}, attempts={self.attempts})"
 
 
+#: ``Task.cancelling`` / ``Task.uncancel`` arrived in Python 3.11.
+_CAN_UNCANCEL = hasattr(asyncio.Task, "uncancel")
+
+
+async def _attempt(origin: SimulatedOrigin, key, size: int, timeout: float) -> None:
+    """One ``origin.fetch`` under a deadline; ``asyncio.TimeoutError`` past it.
+
+    One ``call_later`` timer cancels the awaiting task and the resulting
+    ``CancelledError`` is turned back into this attempt's timeout — no inner
+    task, no second future (``asyncio.wait_for`` on 3.10/3.11 costs both).
+    A cancellation from outside still propagates: where ``Task.uncancel``
+    exists (3.11+) the timer's own request is balanced and any other one is
+    left standing; on 3.10 the two are told apart only by whether the timer
+    fired, so a caller's cancel landing in the same loop turn as the
+    deadline reads as a timeout.
+    """
+    task = asyncio.current_task()
+    pending_cancels = task.cancelling() if _CAN_UNCANCEL else 0
+    fired = False
+
+    def expire() -> None:
+        nonlocal fired
+        fired = True
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(timeout, expire)
+    try:
+        await origin.fetch(key, size)
+    except asyncio.CancelledError:
+        if fired and (not _CAN_UNCANCEL or task.uncancel() <= pending_cancels):
+            raise asyncio.TimeoutError from None
+        raise
+    finally:
+        timer.cancel()
+
+
 async def fetch_with_retry(
     origin: SimulatedOrigin,
     key,
@@ -225,9 +261,11 @@ async def fetch_with_retry(
 ) -> FetchOutcome:
     """Fetch ``key`` with per-attempt timeout and jittered backoff.
 
-    Never raises: failures after the final attempt are folded into the
-    returned :class:`FetchOutcome` (``ok=False``), so a wedged origin
-    degrades the service's metrics instead of crashing its tasks.
+    Runs in the caller's task.  Never raises for an origin condition:
+    failures after the final attempt are folded into the returned
+    :class:`FetchOutcome` (``ok=False``), so a wedged origin degrades the
+    service's metrics instead of crashing its tasks; only the caller's own
+    cancellation propagates.
     ``on_retry(attempt, reason)`` fires before each backoff sleep — the
     shard wires it to the ``fetch_retry`` probe event and counter.
     ``span``, if any, parents one ``origin_attempt`` child per try (status
@@ -250,7 +288,7 @@ async def fetch_with_retry(
             if retry.timeout is None:
                 await origin.fetch(key, size)
             else:
-                await asyncio.wait_for(origin.fetch(key, size), retry.timeout)
+                await _attempt(origin, key, size, retry.timeout)
             if aspan is not None:
                 aspan.end()
             return FetchOutcome(key, size, True, None, attempts, timeouts, loop.time() - start)

@@ -47,8 +47,9 @@ class ServeOutcome:
         The request waited on another request's origin fetch instead of
         issuing its own (miss-follower or hit-on-in-flight-body).
     shed:
-        The request was rejected at admission because the shard queue was
-        full; it never reached the policy (``hit`` is ``False``).
+        The request was rejected at admission because the shard already
+        held ``queue_depth`` unanswered requests; it never reached the
+        policy (``hit`` is ``False``).
     error:
         Terminal origin-fetch error string after all retries, or ``None``.
     shard:

@@ -1,18 +1,19 @@
-"""The concurrent cache service: N key-sharded policy workers behind one
-async ``get``.
+"""The concurrent cache service: N key-sharded single-owner policies
+behind one async ``get``.
 
 ``CacheService`` is the serving-path analogue of :func:`repro.sim.engine.
 simulate`: the same policies, the same write-on-miss admission, but driven
 by concurrent callers instead of a synchronous replay loop.  Requests are
-routed to shards by key hash; each shard owns its policy exclusively (see
+routed to shards by key hash; each shard owns its policy exclusively and
+decides in the caller, with no queue or worker between them (see
 :mod:`repro.serve.shard`), misses coalesce through per-shard single-flight
 maps, and origin traffic flows through one shared bounded
 :class:`~repro.serve.origin.SimulatedOrigin`.
 
-Equivalence anchor: with ``n_shards=1`` and a single closed-loop client,
-requests reach the policy in trace order one at a time, so the hit/miss
-sequence is bit-identical to ``sim.engine`` on the same trace —
-``tests/serve/test_equivalence.py`` pins this.
+Equivalence anchor: the policy sees requests in the order ``get`` is
+called, so with ``n_shards=1`` the hit/miss sequence is bit-identical to
+``sim.engine`` on the same trace — ``tests/serve/test_equivalence.py``
+pins this.
 
 Capacity is split evenly across shards (a real deployment provisions per
 instance); with one shard the service sees the full budget, keeping the
@@ -21,7 +22,6 @@ equivalence comparison honest.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Callable, List, Optional
 
 from repro.cache.base import CachePolicy
@@ -46,13 +46,16 @@ class CacheService:
     capacity:
         Total cache budget in bytes, split evenly across shards.
     n_shards:
-        Number of key-shards (each with its own queue + worker).
+        Number of key-shards.  Shards partition keys and capacity, not
+        CPU: all of them decide on the caller's event loop.
     origin:
         Shared :class:`SimulatedOrigin` (default: a 2 ms origin).
     retry:
         Client-side :class:`RetryPolicy` for origin fetches.
     queue_depth:
-        Per-shard pending-request bound; overflow is shed (0 = unbounded).
+        Per-shard bound on requests held unanswered (decided, waiting on
+        an origin fetch); at the bound a request is shed before the policy
+        sees it (0 = unbounded).
     registry:
         Metrics registry to instrument into (default: a private one);
         pass an :class:`repro.obs.ObsSession`'s registry to fold a serve
@@ -105,14 +108,11 @@ class CacheService:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "CacheService":
-        if not self._started:
-            for shard in self.shards:
-                shard.start()
-            self._started = True
+        self._started = True
         return self
 
     async def close(self) -> None:
-        """Drain every shard queue and settle all in-flight origin fetches."""
+        """Settle every open fetch generation on every shard."""
         if self._started:
             for shard in self.shards:
                 await shard.close()
@@ -130,19 +130,17 @@ class CacheService:
     ) -> None:
         """Hot-swap every shard's policy without stopping the service.
 
-        Each shard performs the swap on its own worker task (queued behind
-        whatever requests are already pending), so no policy is ever
-        touched concurrently and in-flight coalesced fetches settle
-        normally against the shard's single-flight map.  Resident sets are
-        migrated when both old and new policies are queue-structured (see
-        :meth:`repro.serve.shard.CacheShard._swap`).  Shards swap
-        concurrently; the call returns once all have completed.
+        The swap is synchronous — it runs between complete cache decisions
+        and never suspends — so no policy is ever touched mid-decision and
+        in-flight coalesced fetches settle normally against the shard's
+        single-flight map.  Resident sets are migrated when both old and
+        new policies are queue-structured (see
+        :meth:`repro.serve.shard.CacheShard.swap`).
         """
         if not self._started:
             raise RuntimeError("CacheService.swap_policy before start()")
-        await asyncio.gather(
-            *(shard.request_swap(policy_factory, span) for shard in self.shards)
-        )
+        for shard in self.shards:
+            shard.swap(policy_factory, span)
 
     # -- replication fill --------------------------------------------------
     async def fill(self, req: Request) -> bool:
@@ -150,15 +148,14 @@ class CacheService:
 
         The cluster layer's write-all replication hook: after a miss is
         served at one node, the other replicas are *filled* so a later
-        failover read finds the object resident.  Runs on the owning
-        shard's worker task (control-plane message, never shed); returns
-        ``True`` if the object was admitted, ``False`` if it was already
-        resident or larger than the shard.  No hit/miss is recorded — a
-        fill is not traffic.
+        failover read finds the object resident.  Runs at once on the
+        owning shard (never shed, never suspends); returns ``True`` if the
+        object was admitted, ``False`` if it was already resident or larger
+        than the shard.  No hit/miss is recorded — a fill is not traffic.
         """
         if not self._started:
             raise RuntimeError("CacheService.fill before start() (use 'async with')")
-        return await self.shards[hash(req.key) % self._n].request_fill(req)
+        return self.shards[hash(req.key) % self._n].fill(req)
 
     # -- health ------------------------------------------------------------
     def health(self) -> dict:
@@ -170,7 +167,7 @@ class CacheService:
         return {
             "started": self._started,
             "n_shards": self._n,
-            "queue_depths": [s.queue.qsize() for s in self.shards],
+            "queue_depths": [s.unanswered for s in self.shards],
             "shed": sum(s.shed_count for s in self.shards),
             "unhandled_exceptions": self.unhandled_exceptions,
         }
@@ -196,25 +193,27 @@ class CacheService:
 
         ``quotas`` maps tenant id → total bytes for that tenant across the
         whole service; each shard receives its even slice (mirroring how
-        ``capacity`` is split at construction).  The resize runs on each
-        shard's worker task (control-plane message, never shed), so quota
-        shrink evictions interleave only between complete cache decisions.
+        ``capacity`` is split at construction).  The resize is synchronous,
+        so quota shrink evictions fall between complete cache decisions.
         Returns ``True`` iff every shard's policy supports quotas.
         """
         if not self._started:
             raise RuntimeError("CacheService.set_tenant_quotas before start()")
         per_shard = {t: max(q // self._n, 1) for t, q in quotas.items()}
-        results = await asyncio.gather(
-            *(shard.request_set_quotas(dict(per_shard)) for shard in self.shards)
-        )
-        return all(results)
+        # a list, not a generator: every shard is resized even if one refuses
+        return all([shard.set_quotas(dict(per_shard)) for shard in self.shards])
 
     # -- the request API ---------------------------------------------------
     def shard_for(self, key) -> CacheShard:
         return self.shards[hash(key) % self._n]
 
     async def get(self, req: Request, span=None) -> ServeOutcome:
-        """Serve one request: route to its shard, await the outcome.
+        """Serve one request: route to its shard, decide, return the outcome.
+
+        The cache decision runs here, in the caller, before the first
+        suspension; a hit (or a shed) returns without yielding to the
+        event loop, a miss leader awaits the origin fetch in this task and
+        a follower awaits the leader's generation.
 
         Never raises for data-plane conditions — shedding and terminal
         origin failures come back as fields on the outcome, so one bad key
@@ -229,14 +228,14 @@ class CacheService:
         m = self.metrics
         m.requests.inc()
         shard = self.shards[hash(req.key) % self._n]
-        m.queue_depth.observe(shard.queue.qsize())
-        return await shard.submit(req, span)
+        m.queue_depth.observe(shard.unanswered)
+        return await shard.get(req, span)
 
     # -- introspection -----------------------------------------------------
     @property
     def unhandled_exceptions(self) -> int:
-        """Count of exceptions that escaped worker/fetch tasks (should be
-        zero; CI asserts it)."""
+        """Count of exceptions contained in a decision or a fetch (should
+        be zero; CI asserts it)."""
         return self.metrics.unhandled.value
 
     def cache_stats(self) -> dict:

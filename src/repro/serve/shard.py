@@ -1,38 +1,45 @@
-"""One cache shard: a single-owner policy behind a bounded request queue.
+"""One cache shard: a single-owner policy decided in the caller.
 
 Concurrency model — the whole point of the design:
 
-* **All policy state is owned by one worker task.**  The worker pops
-  requests off the shard queue and runs the *entire* cache decision
-  (lookup → hit/miss → admit/evict) as one synchronous block, so policy
-  internals (intrusive queue splices, SCIP's bandit state) need no locks
-  and interleave with nothing — the decision sequence for a given arrival
-  order is exactly what :meth:`repro.cache.base.CachePolicy.request`
-  produces, which is what pins serve↔engine equivalence.
-* **The worker never awaits the origin.**  A miss leases the key's
-  single-flight future and, if it is the leader, spawns a separate fetch
-  task; the caller's future is chained to the flight.  The worker moves
-  straight to the next queued request, so one slow origin fetch never
-  head-of-line-blocks the shard.
-* **Backpressure is the queue bound.**  ``submit`` never blocks: when the
-  queue is full the request is **shed** — counted, surfaced to the caller
-  as a ``shed`` outcome, and never shown to the policy (a shed request
-  must not perturb cache state).
+* **The cache decision runs in the caller, at once.**  Everything lives on
+  one event loop and the decision (lookup → hit/miss → admit/evict) is one
+  synchronous block with no ``await`` in it, so it cannot interleave with
+  another decision: policy internals (intrusive queue splices, SCIP's
+  bandit state) need no lock, no queue and no worker task.  The decision
+  sequence for a given arrival order is exactly what
+  :meth:`repro.cache.base.CachePolicy.request` produces, which is what
+  pins serve↔engine equivalence.  Swap, fill and quota changes are
+  synchronous methods for the same reason: they run when called, between
+  decisions by construction.
+* **A hit never suspends.**  ``get`` on a resident key returns its
+  :class:`ServeOutcome` without a future and without yielding to the loop.
+* **The leader fetches in its own task.**  A miss leases the key's
+  single-flight generation; the leader awaits ``fetch_with_retry`` right
+  there, in the caller's task, and closes the generation; followers chain
+  a future on it.  A slow origin suspends only the callers waiting for
+  that key.  A detached task exists for :meth:`CacheShard.submit` (which
+  must return before the fetch ends) and as the hand-over when a leader is
+  cancelled mid-fetch.
+* **Backpressure is the unanswered bound.**  ``queue_depth`` bounds the
+  requests the shard holds *unanswered* (decided, waiting on an origin
+  fetch).  At the bound a request is **shed** before the policy sees it —
+  counted, surfaced to the caller as a ``shed`` outcome, hits included (a
+  shed request must not perturb cache state).
 
 Failure containment: a terminal origin failure (after retries) resolves
 every coalesced waiter with an error outcome and silently removes the
 object's metadata from the policy (it was admitted write-on-miss but the
 body never arrived), so the next request starts a fresh fetch generation.
-The worker itself is wrapped so a policy bug degrades one request and
-increments ``serve_unhandled_exceptions`` instead of killing the shard.
+A policy bug degrades one request and increments
+``serve_unhandled_exceptions`` instead of unwinding the caller.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from functools import partial
-from typing import Optional
+from typing import Tuple, Union
 
 from repro.cache.base import CachePolicy
 from repro.serve.coalesce import SingleFlight
@@ -42,63 +49,12 @@ from repro.sim.request import Request
 
 __all__ = ["CacheShard"]
 
-#: Queue sentinel asking the worker to exit after draining earlier items.
-_CLOSE = object()
-
-
-class _SwapControl:
-    """Control-plane queue item: hot-swap the shard policy.
-
-    Travels through the same queue as data requests, so the swap executes
-    on the worker task *between* complete cache decisions — the policy is
-    never observed mid-decision and no lock exists to take.  ``fut``
-    resolves with the new policy once the migration is done.  ``span``, if
-    any, parents the ``policy_swap`` span recorded around the migration.
-    """
-
-    __slots__ = ("factory", "fut", "span")
-
-    def __init__(self, factory, fut: asyncio.Future, span=None):
-        self.factory = factory
-        self.fut = fut
-        self.span = span
-
-
-class _QuotaControl:
-    """Control-plane queue item: apply per-tenant byte quotas.
-
-    Rides the shard queue like :class:`_SwapControl`, so the resize (and
-    any shrink evictions it forces) runs on the worker task between
-    complete cache decisions.  ``fut`` resolves ``True`` if the shard's
-    policy supports quotas (duck-typed ``set_quotas``), ``False`` otherwise.
-    """
-
-    __slots__ = ("quotas", "fut")
-
-    def __init__(self, quotas: dict, fut: asyncio.Future):
-        self.quotas = quotas
-        self.fut = fut
-
-
-class _FillControl:
-    """Control-plane queue item: admit one object's metadata without
-    serving a request (replication fill / warm handoff).
-
-    Rides the shard queue like :class:`_SwapControl` so the admission runs
-    on the worker task between complete cache decisions.  ``fut`` resolves
-    ``True`` if the object was admitted, ``False`` if it was already
-    resident (or too large to admit).
-    """
-
-    __slots__ = ("req", "fut")
-
-    def __init__(self, req: Request, fut: asyncio.Future):
-        self.req = req
-        self.fut = fut
-
 
 class CacheShard:
-    """A key-shard of the service: one policy, one queue, one worker.
+    """A key-shard of the service: one policy, one single-flight map.
+
+    A shard partitions keys and capacity, not CPU: every shard of a service
+    decides on the same event loop.
 
     Parameters
     ----------
@@ -112,7 +68,8 @@ class CacheShard:
     metrics:
         The service-wide :class:`~repro.serve.results.ServeMetrics` bundle.
     queue_depth:
-        Bound of the pending-request queue (0 = unbounded, no shedding).
+        Bound on requests held unanswered — decided and waiting on an
+        origin fetch (0 = unbounded, no shedding).
     probe:
         Optional :class:`repro.obs.probe.Probe` for ``fetch`` /
         ``fetch_retry`` / ``fetch_error`` / ``shed`` events.
@@ -137,174 +94,169 @@ class CacheShard:
         self.retry = retry
         self.metrics = metrics
         self.probe = probe
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=max(queue_depth, 0))
+        self.queue_depth = max(queue_depth, 0)
+        #: requests decided but not yet answered (waiting on a fetch).
+        self.unanswered = 0
         self.flight = SingleFlight()
         self.shed_count = 0
         self._shed_counter = metrics.shard_shed(shard_id)
         self._rng = random.Random((seed * 2654435761 + shard_id) & 0xFFFFFFFF)
-        self._worker: Optional[asyncio.Task] = None
-        self._fetch_tasks: set = set()
+        self._detached: set = set()
 
     # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        if self._worker is None:
-            self._worker = asyncio.get_running_loop().create_task(
-                self._run(), name=f"repro-serve-shard-{self.shard_id}"
+    async def close(self) -> None:
+        """Settle every open fetch generation and detached fetch task."""
+        flight = self.flight
+        while len(flight) or self._detached:
+            # ``wait``, not ``gather``: cancelling ``close`` must not cancel
+            # a generation other callers are waiting on.
+            await asyncio.wait(
+                [flight.peek(key) for key in flight.inflight_keys()] + list(self._detached)
             )
 
-    async def close(self) -> None:
-        """Drain the queue, stop the worker, and settle in-flight fetches."""
-        if self._worker is not None:
-            await self.queue.put(_CLOSE)
-            await self._worker
-            self._worker = None
-        while self._fetch_tasks:
-            await asyncio.gather(*list(self._fetch_tasks), return_exceptions=True)
-
-    # -- request admission (caller side) -----------------------------------
-    def submit(self, req: Request, span=None) -> "asyncio.Future[ServeOutcome]":
-        """Enqueue one request; never blocks.
-
-        Returns a future resolving to the request's :class:`ServeOutcome`.
-        A full queue sheds the request immediately (load shedding) — the
-        future resolves right away with ``shed=True``.  ``span``, if any,
-        is the request's trace span: a ``queue_wait`` child opens here and
-        closes when the worker pops the request.
-        """
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        qspan = (
-            span.child("queue_wait", shard=self.shard_id)
-            if span is not None
-            else None
-        )
-        try:
-            self.queue.put_nowait((req, fut, span, qspan))
-        except asyncio.QueueFull:
-            self.shed_count += 1
-            self.metrics.shed.inc()
-            self._shed_counter.inc()
-            if qspan is not None:
-                qspan.end("shed")
-            if self.probe is not None:
-                self.probe.emit("shed", key=req.key, shard=self.shard_id)
-            fut.set_result(ServeOutcome(False, shed=True, shard=self.shard_id))
-        return fut
-
-    # -- worker side -------------------------------------------------------
-    async def _run(self) -> None:
-        queue = self.queue
-        while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                queue.task_done()
-                return
-            if isinstance(item, _SwapControl):
-                try:
-                    self._swap(item.factory, item.span)
-                except Exception as exc:
-                    if not item.fut.done():
-                        item.fut.set_exception(exc)
-                else:
-                    if not item.fut.done():
-                        item.fut.set_result(self.policy)
-                finally:
-                    queue.task_done()
-                continue
-            if isinstance(item, _QuotaControl):
-                try:
-                    applied = self._set_quotas(item.quotas)
-                except Exception:
-                    self.metrics.unhandled.inc()
-                    if not item.fut.done():
-                        item.fut.set_result(False)
-                else:
-                    if not item.fut.done():
-                        item.fut.set_result(applied)
-                finally:
-                    queue.task_done()
-                continue
-            if isinstance(item, _FillControl):
-                try:
-                    filled = self._fill(item.req)
-                except Exception:
-                    self.metrics.unhandled.inc()
-                    if not item.fut.done():
-                        item.fut.set_result(False)
-                else:
-                    if not item.fut.done():
-                        item.fut.set_result(filled)
-                finally:
-                    queue.task_done()
-                continue
-            req, fut, span, qspan = item
-            try:
-                self._serve(req, fut, span, qspan)
-            except Exception as exc:  # a policy bug must not kill the shard
-                self.metrics.unhandled.inc()
-                if not fut.done():
-                    fut.set_result(
-                        ServeOutcome(False, error=f"internal: {exc!r}", shard=self.shard_id)
-                    )
-            finally:
-                queue.task_done()
-
-    def _serve(
-        self, req: Request, fut: asyncio.Future, span=None, qspan=None
-    ) -> None:
+    # -- the cache decision (synchronous) ----------------------------------
+    def _decide(
+        self, req: Request, span=None
+    ) -> Union[ServeOutcome, Tuple[bool, asyncio.Future, bool]]:
         """One complete cache decision — synchronous, single-owner.
 
-        Span topology: ``qspan`` (opened in :meth:`submit`) closes here; a
-        ``policy`` child wraps the cache decision; a follower/late-hit gets
-        a ``flight_wait`` child closed when the flight resolves; the
-        single-flight *leader* instead parents the fetch task's
-        ``origin_fetch`` child — never both, so stage critical paths don't
-        double-count the same wall time.
+        Returns the request's :class:`ServeOutcome` when it is answered at
+        once (shed, plain hit, policy bug), else ``(hit, lease, leader)``:
+        the body is on the wire under ``lease`` and, if ``leader``, the
+        caller owes the fetch.
+
+        Span topology: ``queue_wait`` is closed where it is opened (there
+        is no queue; status ``shed`` marks a shed request); a ``policy``
+        child wraps the cache decision; a follower/late-hit gets a
+        ``flight_wait`` child closed when the flight resolves; the
+        single-flight *leader* instead parents the ``origin_fetch`` child —
+        never both, so stage critical paths don't double-count the same
+        wall time.
         """
-        if qspan is not None:
-            qspan.end()
         m = self.metrics
-        if span is not None:
-            pspan = span.child("policy", shard=self.shard_id)
-            hit = self.policy.request(req)
-            pspan.end(hit=hit)
-        else:
-            hit = self.policy.request(req)
+        shard_id = self.shard_id
+        if self.queue_depth and self.unanswered >= self.queue_depth:
+            self.shed_count += 1
+            m.shed.inc()
+            self._shed_counter.inc()
+            if span is not None:
+                span.child("queue_wait", shard=shard_id).end("shed")
+            if self.probe is not None:
+                self.probe.emit("shed", key=req.key, shard=shard_id)
+            return ServeOutcome(False, shed=True, shard=shard_id)
+        try:
+            if span is not None:
+                span.child("queue_wait", shard=shard_id).end()
+                pspan = span.child("policy", shard=shard_id)
+                hit = self.policy.request(req)
+                pspan.end(hit=hit)
+            else:
+                hit = self.policy.request(req)
+        except Exception as exc:  # a policy bug must not unwind the caller
+            m.unhandled.inc()
+            return ServeOutcome(False, error=f"internal: {exc!r}", shard=shard_id)
         if hit:
             m.hits.inc()
+            # Metadata may be resident while the body is still on the wire
+            # from an earlier miss: then wait for that same fetch.
             pending = self.flight.join(req.key)
             if pending is None:
-                if not fut.done():
-                    fut.set_result(ServeOutcome(True, shard=self.shard_id))
-            else:
-                # Metadata is resident but the body is still on the wire
-                # from an earlier miss: wait for that same fetch.
-                m.coalesced.inc()
-                wspan = (
-                    span.child("flight_wait", coalesced=True)
-                    if span is not None
-                    else None
-                )
-                self._chain(pending, fut, hit=True, coalesced=True, wspan=wspan)
-            return
+                return ServeOutcome(True, shard=shard_id)
+            return True, pending, False
         m.misses.inc()
         lease, leader = self.flight.lease(req.key)
-        wspan = None
+        return False, lease, leader
+
+    async def get(self, req: Request, span=None) -> ServeOutcome:
+        """Decide ``req`` now, in the caller; suspend only to wait for a body.
+
+        A hit (and a shed) returns without yielding to the loop.  A leader
+        runs the origin fetch in this task; if the task is cancelled
+        mid-fetch a detached task takes the fetch over, so followers get
+        their body and the write-on-miss metadata is backed or removed.
+        """
+        decided = self._decide(req, span)
+        if isinstance(decided, ServeOutcome):
+            return decided
+        hit, lease, leader = decided
+        self.unanswered += 1
+        try:
+            if not leader:
+                return await self._chain(lease, hit, True, span)
+            try:
+                outcome = await self._lead(req.key, req.size, span)
+            except asyncio.CancelledError:
+                self._detach(req.key, req.size, span)
+                raise
+            if outcome.error is not None:
+                self.metrics.errors.inc()
+            return ServeOutcome(False, error=outcome.error, shard=self.shard_id)
+        finally:
+            self.unanswered -= 1
+
+    def submit(self, req: Request, span=None) -> "asyncio.Future[ServeOutcome]":
+        """Decide ``req`` now; return a future of its :class:`ServeOutcome`.
+
+        Never blocks.  The decision has been made when ``submit`` returns,
+        so calls are answered by the policy in place at the call; the
+        future is already resolved for a hit or a shed.  A leader's fetch
+        runs in a detached task.
+        """
+        decided = self._decide(req, span)
+        if isinstance(decided, ServeOutcome):
+            fut = asyncio.get_running_loop().create_future()
+            fut.set_result(decided)
+            return fut
+        hit, lease, leader = decided
         if leader:
-            task = asyncio.get_running_loop().create_task(
-                self._fetch(req.key, req.size, span)
-            )
-            self._fetch_tasks.add(task)
-            task.add_done_callback(partial(self._on_fetch_done, req.key))
-        else:
+            self._detach(req.key, req.size, span)
+        self.unanswered += 1
+        fut = self._chain(lease, hit, not leader, span)
+        fut.add_done_callback(self._answered)
+        return fut
+
+    def _answered(self, _fut: asyncio.Future) -> None:
+        self.unanswered -= 1
+
+    def _chain(
+        self, lease: asyncio.Future, hit: bool, coalesced: bool, span=None
+    ) -> "asyncio.Future[ServeOutcome]":
+        """A future resolved from the flight's terminal :class:`FetchOutcome`.
+
+        The waiter gets its own future: awaiting ``lease`` directly would
+        let one cancelled waiter cancel the generation for all of them.
+        """
+        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        m = self.metrics
+        shard_id = self.shard_id
+        wspan = None
+        if coalesced:
             m.coalesced.inc()
             if span is not None:
                 wspan = span.child("flight_wait", coalesced=True)
-        self._chain(lease, fut, hit=False, coalesced=not leader, wspan=wspan)
 
-    # -- live policy swap (worker side) ------------------------------------
-    def _swap(self, factory, span=None) -> None:
-        """Hot-swap the shard policy — runs on the worker task only.
+        def _done(f: asyncio.Future) -> None:
+            outcome: FetchOutcome = f.result()
+            if wspan is not None:
+                wspan.end("ok" if outcome.error is None else "error")
+            if fut.done():  # the waiter went away (cancelled)
+                return
+            if outcome.error is not None:
+                m.errors.inc()
+            fut.set_result(
+                ServeOutcome(hit, coalesced=coalesced, error=outcome.error, shard=shard_id)
+            )
 
+        lease.add_done_callback(_done)
+        return fut
+
+    # -- live policy swap --------------------------------------------------
+    def swap(self, factory, span=None) -> CachePolicy:
+        """Hot-swap the shard policy; returns the new policy.
+
+        Synchronous, so it runs between complete cache decisions: requests
+        decided before the call were answered by the old policy, requests
+        after it by the new one.
         Mirrors :meth:`repro.tdc.node.StorageNode.swap_policy`: the old
         policy's resident set migrates through the duck-typed
         ``export_residents`` / ``import_resident`` protocol (queue policies
@@ -314,7 +266,8 @@ class CacheShard:
         refill either way).  In-flight fetches are untouched — the
         single-flight map is shard state, not policy state, so coalesced
         waiters resolve against the same generation regardless of which
-        policy admitted the key.
+        policy admitted the key.  ``span``, if any, parents the
+        ``policy_swap`` span recorded around the migration.
         """
         sspan = (
             span.child("policy_swap", shard=self.shard_id)
@@ -338,101 +291,75 @@ class CacheShard:
                 to=new.name,
                 migrated=migrated,
             )
+        return new
 
     async def request_swap(self, factory, span=None) -> CachePolicy:
-        """Ask the worker to swap policies; resolves once it has happened.
+        """Awaitable :meth:`swap` (it never suspends)."""
+        return self.swap(factory, span)
 
-        Unlike :meth:`submit`, this *blocks* on a full queue rather than
-        shedding — a control-plane message must not be dropped under data-
-        plane pressure.  Returns the new policy instance.
-        """
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self.queue.put(_SwapControl(factory, fut, span))
-        return await fut
+    # -- replication fill --------------------------------------------------
+    def fill(self, req: Request) -> bool:
+        """Admit ``req``'s metadata without serving it (replication fill).
 
-    # -- replication fill (worker side) ------------------------------------
-    def _fill(self, req: Request) -> bool:
-        """Admit ``req``'s metadata without serving it — runs on the worker.
-
-        The replica-fill analogue of :meth:`_swap`'s resident-set
+        The replica-fill analogue of :meth:`swap`'s resident-set
         migration: the object enters through the policy's normal miss path
         (:meth:`repro.cache.base.CachePolicy._miss` — insertion position,
         evictions and capacity accounting all apply) but no hit/miss is
         recorded, so a fill never pollutes the policy's served-traffic
-        statistics.
+        statistics.  Never shed.  ``True`` if the object was admitted,
+        ``False`` if already resident or larger than the shard; a policy
+        bug is counted as unhandled and reads ``False``.
         """
         policy = self.policy
-        if req.size > policy.capacity or policy.contains(req.key):
+        try:
+            if req.size > policy.capacity or policy.contains(req.key):
+                return False
+            policy._miss(Request(policy.clock, req.key, req.size))
+        except Exception:
+            self.metrics.unhandled.inc()
             return False
-        policy._miss(Request(policy.clock, req.key, req.size))
         return True
 
-    async def request_fill(self, req: Request) -> bool:
-        """Ask the worker to admit ``req``'s object (replication fill).
-
-        Control-plane semantics like :meth:`request_swap`: blocks on a full
-        queue instead of shedding.  Resolves ``True`` if the object was
-        admitted, ``False`` if already resident or larger than the shard.
-        """
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self.queue.put(_FillControl(req, fut))
-        return await fut
-
-    # -- tenant quotas (worker side) ----------------------------------------
-    def _set_quotas(self, quotas: dict) -> bool:
-        """Apply per-tenant byte quotas — runs on the worker task only.
+    # -- tenant quotas -----------------------------------------------------
+    def set_quotas(self, quotas: dict) -> bool:
+        """Apply per-tenant byte quotas (and any shrink evictions they force).
 
         Duck-typed: the policy opts in by exposing ``set_quotas`` (the
         tenancy :class:`~repro.tenancy.partition.TenantPartitionedCache`
-        does); anything else ignores the control message and reports
-        ``False`` so the service can surface the mismatch.
+        does); anything else reports ``False`` so the service can surface
+        the mismatch.  A policy bug is counted as unhandled and reads
+        ``False``.
         """
         set_quotas = getattr(self.policy, "set_quotas", None)
         if set_quotas is None:
             return False
-        set_quotas(quotas)
+        try:
+            set_quotas(quotas)
+        except Exception:
+            self.metrics.unhandled.inc()
+            return False
         return True
 
-    async def request_set_quotas(self, quotas: dict) -> bool:
-        """Ask the worker to apply per-tenant quotas (control plane).
+    # -- origin fetch (leader) ---------------------------------------------
+    async def _lead(self, key, size: int, span=None) -> FetchOutcome:
+        """Fetch ``key`` and close its generation; only cancellation raises."""
+        try:
+            outcome = await self._fetch(key, size, span)
+        except Exception as exc:
+            # A bug in the fetch path itself: count it and make sure no
+            # waiter is stranded on an unresolved generation.
+            self.metrics.unhandled.inc()
+            outcome = FetchOutcome(key, 0, False, f"internal: {exc!r}", 0, 0, 0.0)
+        self.flight.resolve(key, outcome)
+        return outcome
 
-        Blocks on a full queue instead of shedding, like
-        :meth:`request_swap`.  Resolves ``True`` iff the shard policy
-        supports quota partitioning.
-        """
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self.queue.put(_QuotaControl(quotas, fut))
-        return await fut
+    def _detach(self, key, size: int, span=None) -> None:
+        """Run ``key``'s fetch in a task of its own (held until it is done)."""
+        task = asyncio.get_running_loop().create_task(self._lead(key, size, span))
+        self._detached.add(task)
+        task.add_done_callback(self._detached.discard)
 
-    def _chain(
-        self,
-        lease: asyncio.Future,
-        fut: asyncio.Future,
-        hit: bool,
-        coalesced: bool,
-        wspan=None,
-    ) -> None:
-        """Resolve ``fut`` from the flight's terminal :class:`FetchOutcome`."""
-        shard_id = self.shard_id
-        errors = self.metrics.errors
-
-        def _done(f: asyncio.Future) -> None:
-            if wspan is not None:
-                outcome_early: FetchOutcome = f.result()
-                wspan.end("ok" if outcome_early.error is None else "error")
-            if fut.done():  # caller went away (cancelled loadgen)
-                return
-            outcome: FetchOutcome = f.result()
-            if outcome.error is not None:
-                errors.inc()
-            fut.set_result(
-                ServeOutcome(hit, coalesced=coalesced, error=outcome.error, shard=shard_id)
-            )
-
-        lease.add_done_callback(_done)
-
-    # -- origin fetch (leader task) ----------------------------------------
-    async def _fetch(self, key, size: int, span=None) -> None:
+    async def _fetch(self, key, size: int, span=None) -> FetchOutcome:
         m = self.metrics
         m.origin_fetches.inc()
         probe = self.probe
@@ -480,20 +407,7 @@ class CacheShard:
             remove = getattr(self.policy, "remove", None)
             if remove is not None:
                 remove(key)
-        self.flight.resolve(key, outcome)
-
-    def _on_fetch_done(self, key, task: asyncio.Task) -> None:
-        self._fetch_tasks.discard(task)
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is not None:
-            # A bug in the fetch path itself: count it and make sure no
-            # waiter is stranded on an unresolved generation.
-            self.metrics.unhandled.inc()
-            self.flight.resolve(
-                key, FetchOutcome(key, 0, False, f"internal: {exc!r}", 0, 0, 0.0)
-            )
+        return outcome
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict:

@@ -27,6 +27,37 @@ class _ListSink:
         self.records.append(record)
 
 
+class _PerRecordRecorder:
+    """The reference fold: every instrument looked up in the registry on
+    every record (what :class:`RegistryRecorder` did before it bound its
+    instruments once per event type)."""
+
+    def __init__(self):
+        self.registry = MetricsRegistry()
+
+    def write(self, record):
+        reg = self.registry
+        event = record["event"]
+        reg.counter("events", event=event).inc()
+        if event == "weight_update":
+            reg.gauge("w_mru").set(record["w_mru"])
+            reg.gauge("w_lru").set(record["w_lru"])
+        elif event == "lambda_update":
+            reg.gauge("lambda").set(record["value"])
+        elif event == "lambda_restart":
+            reg.counter("lambda_restarts").inc()
+            reg.gauge("lambda").set(record["value"])
+        elif event == "ghost_hit":
+            reg.counter("ghost_hits", list=record["list"]).inc()
+        elif event == "episode_transition":
+            reg.counter("episodes", to=record["to"]).inc()
+        elif event == "admit":
+            reg.histogram("admit_bytes").observe(record["size"])
+        elif event == "evict":
+            reg.histogram("evict_bytes").observe(record["size"])
+            reg.histogram("evict_tenure_hits").observe(record["hits"])
+
+
 class TestProbe:
     def test_unknown_event_raises(self):
         probe = Probe([_ListSink()])
@@ -156,6 +187,24 @@ class TestRegistryRecorder:
         assert snap["admit_bytes"][""]["count"] == 1
         assert snap["evict_tenure_hits"][""]["sum"] == 2
         assert snap["events"]["event=admit"]["value"] == 1
+
+    def test_snapshot_matches_the_per_record_fold_on_a_scip_replay(self):
+        """30 k probed SCIP requests through both folds: same instruments,
+        same values, key for key."""
+        from repro.core.scip import SCIPCache
+        from repro.traces.cdn import make_workload
+
+        trace = make_workload("CDN-T", n_requests=30_000)
+        policy = SCIPCache(max(int(trace.working_set_size * 0.02), 1))
+        bound, reference = RegistryRecorder(), _PerRecordRecorder()
+        policy.attach_probe(Probe([bound, reference]))
+        policy.replay(trace.requests)
+        got, want = bound.registry.snapshot(), reference.registry.snapshot()
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name] == want[name], name
+        assert {"events", "w_mru", "lambda", "ghost_hits", "admit_bytes",
+                "evict_tenure_hits"} <= set(got)
 
 
 class TestSnapshotEmitter:
