@@ -4,9 +4,13 @@ The engine materialises one cache policy per :class:`~repro.net.topology.
 NetNode` (via the unified registry), attaches Zipf-rated receivers to the
 topology's edge nodes, and replays a trace one request at a time:
 
-1. **Route.**  The request's receiver (``ZipfReceivers.assign`` of the
-   request index) picks an edge node; :meth:`Topology.path` gives the
-   deterministic uplink chain to ``origin``.
+1. **Route.**  The request's receiver (``ZipfReceivers`` hashes the
+   request index; :meth:`NetEngine.run` assigns a block of them at a
+   time) picks an edge node, and the edge's *route* — the uplink chain
+   :meth:`Topology.path` would give, resolved once at construction with
+   its link constants — is what the walk iterates.  Only an edge with a
+   choice of uplinks (fat tree) still routes per key, and each distinct
+   chain is resolved once.
 2. **Lookup walk** (bottom → top).  At each *live* cache node the engine
    asks ``policy.contains(key)`` — a pure lookup, no admission side
    effects.  The first hit is the serving point; a hit calls
@@ -36,16 +40,31 @@ the served-error rate of a PoP-kill scenario is 0 by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from itertools import islice, repeat
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.cache.registry import make_policy
 from repro.cluster.faults import FaultPlan
 from repro.net.placement import PlacementStrategy, make_placement
 from repro.net.receivers import ZipfReceivers
-from repro.net.topology import ORIGIN, Topology
+from repro.net.topology import ORIGIN, Link, Topology
 from repro.sim.request import Request
 
 __all__ = ["NetEngine", "NetResult"]
+
+#: Requests per receiver-assignment block in :meth:`NetEngine.run`: large
+#: enough that the numpy call is free per request, small enough that a
+#: generator trace is never held in memory.
+_BLOCK = 1 << 16
+
+#: One resolved uplink chain.  ``hops`` has an entry per cache node, edge
+#: first: ``(node, tier, 2 * latency_ms, bits per second, uplink target)``
+#: — node *names*, so a policy replaced by a ``kill`` is seen by the next
+#: request.  ``below[d]`` is the ``d`` nodes under serving depth ``d``,
+#: top -> bottom (what placement is offered when nothing is dead).
+_Route = Tuple[tuple, tuple]
 
 
 @dataclass
@@ -154,8 +173,12 @@ class NetEngine:
             name: make_policy(node.policy, node.capacity, **node.policy_kwargs)
             for name, node in topology.nodes.items()
         }
-        self._tier = {name: node.tier for name, node in topology.nodes.items()}
         self.edges: List[str] = topology.edge_nodes
+        # Routes are resolved here, once: a node or link added to the
+        # topology after this point is not seen by this engine.
+        self._routes: Dict[tuple, _Route] = {}
+        self._edge_routes = [self._fixed_route(edge) for edge in self.edges]
+        self._observed = not (registry is None and probe is None and tracer is None)
         self.dead: set = set()
         self.slow_ms: Dict[str, float] = {}
         self.clock = 0
@@ -180,15 +203,41 @@ class NetEngine:
             self._c_origin = registry.counter("net_origin_fetches")
             self._c_copies = registry.counter("net_copies_placed")
             self._h_latency = registry.histogram("net_request_latency_ms")
-        else:
-            self._h_latency = None
+
+    # -- routes ------------------------------------------------------------
+    def _route(self, links: Sequence[Link]) -> _Route:
+        """The resolved form of one uplink chain (memoised by its nodes)."""
+        names = tuple(link.src for link in links)
+        route = self._routes.get(names)
+        if route is None:
+            nodes = self.topology.nodes
+            hops = tuple(
+                (link.src, nodes[link.src].tier, 2.0 * link.latency_ms,
+                 link.gbps * 1e9, link.dst)
+                for link in links
+            )
+            below = tuple(names[:d][::-1] for d in range(len(names) + 1))
+            route = self._routes[names] = (hops, below)
+        return route
+
+    def _fixed_route(self, edge: str) -> Optional[_Route]:
+        """``edge``'s route if no node on its chain has a choice of uplink;
+        ``None`` when the chain depends on the key."""
+        links = []
+        at = edge
+        while at != ORIGIN:
+            uplinks = self.topology.uplinks(at)
+            if len(uplinks) != 1:
+                return None
+            links.append(uplinks[0])
+            at = uplinks[0].dst
+        return self._route(links)
 
     # -- faults ------------------------------------------------------------
     def _apply_faults(self, offset: int) -> None:
-        plan = self.fault_plan
-        if plan is None or plan.exhausted:
-            return
-        for act in plan.due(offset):
+        """Consume the plan's actions due at ``offset`` (caller has checked
+        there is a plan with actions left)."""
+        for act in self.fault_plan.due(offset):
             node = act.node
             if node not in self.policies and node not in self.dead:
                 continue  # unknown node: the plan never raises
@@ -213,114 +262,127 @@ class NetEngine:
     # -- the per-request walk ---------------------------------------------
     def serve(self, req: Request) -> float:
         """Serve one request; returns its simulated latency in ms."""
+        rx = self.receivers
+        return self._serve(req, rx.assign(self.clock) if rx is not None else 0)
+
+    def _serve(self, req: Request, receiver: int) -> float:
+        """The request body: ``req`` arrives at ``receiver``'s edge."""
         index = self.clock
-        self.clock += 1
-        self._apply_faults(index)
+        self.clock = index + 1
+        plan = self.fault_plan
+        if plan is not None and not plan.exhausted:
+            self._apply_faults(index)
         res = self.result
         res.requests += 1
 
-        if self.receivers is not None:
-            receiver = self.receivers.assign(index)
-            edge = self.edges[receiver % len(self.edges)]
-        else:
-            receiver = 0
-            edge = self.edges[0]
-
         key, size = req.key, req.size
-        links = self.topology.path(edge, key)
-        nodes = [edge] + [link.dst for link in links]  # ends with ORIGIN
+        e = receiver % len(self.edges)
+        route = self._edge_routes[e]
+        if route is None:
+            route = self._route(self.topology.path(self.edges[e], key))
+        hops, below = route
 
-        root = None
-        if self.tracer is not None:
-            root = self.tracer.start_trace("request", edge=edge, receiver=receiver)
+        # Everything the registry, probe and tracer need sits behind this
+        # one flag; an unobserved replay tests it and nothing else.
+        observed = self._observed
+        registry = probe = root = None
+        if observed:
+            registry, probe = self.registry, self.probe
+            if self.tracer is not None:
+                root = self.tracer.start_trace(
+                    "request", edge=self.edges[e], receiver=receiver
+                )
 
+        dead, slow, policies = self.dead, self.slow_ms, self.policies
         latency = 0.0
         hop_latency = 0.0
-        serving_index = None  # position in `nodes` that served the request
-        slow = self.slow_ms
+        depth = 0  # links climbed to the serving point; len(hops) = origin
         try:
-            for i, name in enumerate(nodes):
-                if name == ORIGIN:
-                    serving_index = i
-                    res.origin_fetches += 1
-                    if self.registry is not None:
+            for name, tier, _, _, _ in hops:
+                if not dead or name not in dead:
+                    if slow and name in slow:
+                        latency += slow[name]
+                    st = res.tiers[tier]
+                    st["lookups"] += 1
+                    st["lookup_bytes"] += size
+                    policy = policies[name]
+                    hit = policy.contains(key)
+                    if observed:
+                        if root is not None:
+                            span = root.child("tier_lookup", node=name, tier=tier)
+                            span.end(sim_ms=slow.get(name, 0.0), hit=hit)
+                        if registry is not None:
+                            self._c_lookups[tier].inc()
+                    if hit:
+                        policy.request(req)  # count + promote at the hit node
+                        st["hits"] += 1
+                        st["hit_bytes"] += size
+                        if observed:
+                            if registry is not None:
+                                self._c_hits[tier].inc()
+                                self._c_hit_bytes[tier].inc(size)
+                            if probe is not None:
+                                probe.emit(
+                                    "net_tier_hit",
+                                    key=key,
+                                    size=size,
+                                    node=name,
+                                    tier=tier,
+                                    t=index,
+                                )
+                        res.cache_hits += 1
+                        res.hit_flags.append(1)
+                        break
+                depth += 1
+            else:
+                res.origin_fetches += 1
+                res.hit_flags.append(0)
+                if observed:
+                    if registry is not None:
                         self._c_origin.inc()
-                    if self.probe is not None:
-                        self.probe.emit(
-                            "net_origin_fetch", key=key, size=size, edge=edge, t=index
-                        )
-                    break
-                if name in self.dead:
-                    continue
-                if slow and name in slow:
-                    latency += slow[name]
-                tier = self._tier[name]
-                st = res.tiers[tier]
-                st["lookups"] += 1
-                st["lookup_bytes"] += size
-                policy = self.policies[name]
-                hit = policy.contains(key)
-                if root is not None:
-                    span = root.child("tier_lookup", node=name, tier=tier)
-                    span.end(sim_ms=slow.get(name, 0.0), hit=hit)
-                if self.registry is not None:
-                    self._c_lookups[tier].inc()
-                if hit:
-                    policy.request(req)  # count + promote at the hit node
-                    st["hits"] += 1
-                    st["hit_bytes"] += size
-                    if self.registry is not None:
-                        self._c_hits[tier].inc()
-                        self._c_hit_bytes[tier].inc(size)
-                    if self.probe is not None:
-                        self.probe.emit(
-                            "net_tier_hit",
+                    if probe is not None:
+                        probe.emit(
+                            "net_origin_fetch",
                             key=key,
                             size=size,
-                            node=name,
-                            tier=tier,
+                            edge=self.edges[e],
                             t=index,
                         )
-                    serving_index = i
-                    res.cache_hits += 1
-                    break
-            res.hit_flags.append(1 if nodes[serving_index] != ORIGIN else 0)
 
-            # latency: up to the serving point and back down, per link
-            for link in links[:serving_index]:
-                cost = 2.0 * link.latency_ms + link.transfer_ms(size)
+            # latency: up to the serving point and back down, per link, in
+            # Link.transfer_ms's operation order (the sums are pinned ==)
+            for name, _, rtt_ms, bps, uplink in hops[:depth]:
+                cost = rtt_ms + size * 8.0 / bps * 1e3
                 hop_latency += cost
                 if root is not None:
-                    span = root.child("net_hop", src=link.src, dst=link.dst)
+                    span = root.child("net_hop", src=name, dst=uplink)
                     span.end(sim_ms=cost)
             latency += hop_latency
 
             # placement: live caches strictly below the serving point,
             # top -> bottom (the response's direction of travel)
-            downstream = [
-                n
-                for n in nodes[serving_index - 1 :: -1]
-                if n not in self.dead
-            ] if serving_index else []
+            downstream = below[depth]
+            if dead and downstream:
+                downstream = [n for n in downstream if n not in dead]
             placed = 0
             if downstream:
-                copies = self.placement.copy_nodes(downstream, key, size, index)
-                for name in copies:
-                    self.policies[name].request(req)  # node's own admission
+                for name in self.placement.copy_nodes(downstream, key, size, index):
+                    policies[name].request(req)  # node's own admission
                     placed += 1
                 res.copies_placed += placed
-                if self.registry is not None and placed:
-                    self._c_copies.inc(placed)
-                if self.probe is not None:
-                    self.probe.emit(
-                        "net_placement",
-                        key=key,
-                        size=size,
-                        strategy=self.placement.name,
-                        offered=len(downstream),
-                        placed=placed,
-                        t=index,
-                    )
+                if observed:
+                    if registry is not None and placed:
+                        self._c_copies.inc(placed)
+                    if probe is not None:
+                        probe.emit(
+                            "net_placement",
+                            key=key,
+                            size=size,
+                            strategy=self.placement.name,
+                            offered=len(downstream),
+                            placed=placed,
+                            t=index,
+                        )
             if root is not None:
                 span = root.child("placement", strategy=self.placement.name)
                 span.end(sim_ms=0.0, placed=placed)
@@ -331,31 +393,38 @@ class NetEngine:
             raise
         res.latency_ms_sum += latency
         res.hop_latency_ms_sum += hop_latency
-        if self._h_latency is not None:
-            self._h_latency.observe(latency)
-        if root is not None:
-            root.end(sim_ms=latency, status="ok")
+        if observed:
+            if registry is not None:
+                self._h_latency.observe(latency)
+            if root is not None:
+                root.end(sim_ms=latency, status="ok")
         return latency
 
     # -- replay drivers ----------------------------------------------------
     def run(self, trace) -> NetResult:
-        """Replay an in-memory trace (a ``Trace`` or request iterable)."""
-        for req in getattr(trace, "requests", trace):
-            self.serve(req)
+        """Replay a ``Trace`` or any iterable of requests (a generator is
+        consumed a block at a time, never materialised)."""
+        requests = iter(getattr(trace, "requests", trace))
+        serve, rx = self._serve, self.receivers
+        while block := list(islice(requests, _BLOCK)):
+            if rx is None:
+                who = repeat(0)
+            else:
+                start = self.clock
+                who = rx.assign_array(
+                    np.arange(start, start + len(block), dtype=np.int64)
+                ).tolist()
+            for req, receiver in zip(block, who):
+                serve(req, receiver)
         return self.result
 
     def run_bin(self, path, chunk_size: int = 1 << 20) -> NetResult:
-        """Stream a ``.bin`` trace through the engine chunk by chunk."""
+        """Stream a ``.bin`` trace through :meth:`run`, one chunk of the
+        file in memory at a time."""
         from repro.traces.binfmt import BinTraceReader
 
         with BinTraceReader(path) as reader:
-            for times, keys, sizes in reader.iter_chunks(chunk_size):
-                t_list = times.tolist()
-                k_list = keys.tolist()
-                s_list = sizes.tolist()
-                for t, k, s in zip(t_list, k_list, s_list):
-                    self.serve(Request(t, k, s))
-        return self.result
+            return self.run(reader.stream_requests(chunk_size))
 
     # -- introspection -----------------------------------------------------
     def policy_stats(self, node: str):

@@ -41,6 +41,8 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, List, Sequence
 
+from repro.hashing import mix64, splitmix64
+
 __all__ = [
     "PlacementStrategy",
     "LCE",
@@ -50,18 +52,6 @@ __all__ = [
     "make_placement",
     "register_placement",
 ]
-
-_M64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    x &= _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
-    return x
 
 
 class PlacementStrategy:
@@ -133,7 +123,7 @@ class ProbPlacement(PlacementStrategy):
             raise ValueError(f"placement probability must be in (0, 1], got {p}")
         self.p = float(p)
         self.seed = int(seed)
-        self._salt = _mix64(self.seed ^ 0x70726F62636163)  # "probcac"
+        self._salt = mix64(self.seed ^ 0x70726F62636163)  # "probcac"
 
     def copy_nodes(
         self, downstream: Sequence[str], key: int, size: int, clock: int
@@ -142,10 +132,10 @@ class ProbPlacement(PlacementStrategy):
         if not total:
             return []
         out: List[str] = []
-        base = _mix64(key ^ self._salt) ^ _mix64(clock + 0x9E3779B97F4A7C15)
+        base = mix64(key ^ self._salt) ^ splitmix64(clock)
         for depth, node in enumerate(downstream, start=1):
             threshold = int(self.p * depth / total * (1 << 64))
-            h = _mix64(base ^ zlib.crc32(node.encode()))
+            h = mix64(base ^ zlib.crc32(node.encode()))
             if h < threshold:
                 out.append(node)
         return out

@@ -23,11 +23,13 @@ folklore.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.traces.binfmt import _ShardsSampler, _splitmix64
+from repro.hashing import splitmix64, splitmix64_array
+from repro.traces.binfmt import _ShardsSampler
 from repro.traces.synthetic import zipf_probs
 
 __all__ = ["ZipfReceivers", "receiver_wss", "receiver_wss_from_bin"]
@@ -40,7 +42,9 @@ class ZipfReceivers:
 
     ``beta=0`` makes all receivers equal; icarus evaluations typically
     use 0.6–0.9.  ``assign`` is O(log n) (binary search over the rate
-    CDF) and purely a function of ``(index, seed)``.
+    CDF) and purely a function of ``(index, seed)``; it is Python-int
+    arithmetic and a ``bisect`` for one request, :meth:`assign_array` the
+    same computation in numpy for a block, and the two agree bit for bit.
     """
 
     def __init__(self, n: int, beta: float = 0.8, seed: int = 0):
@@ -55,27 +59,32 @@ class ZipfReceivers:
             self.rates = np.full(self.n, 1.0 / self.n)
         else:
             self.rates = zipf_probs(self.n, beta)
-        self._cdf = np.cumsum(self.rates)
-        self._cdf[-1] = 1.0  # guard the float tail
-        self._salt = _U64(
-            int(
-                _splitmix64(
-                    np.array([self.seed ^ 0x7265637672735F5A], dtype=np.uint64)
-                )[0]
-            )
-        )
+        # Only the n - 1 interior CDF cuts are searched: receiver n - 1 owns
+        # everything above the last one, so no draw can land on id n.
+        self._cuts = np.cumsum(self.rates)[:-1]
+        self._cut_list = self._cuts.tolist()
+        self._salt = splitmix64(self.seed ^ 0x7265637672735F5A)
+
+    def _receiver_at(self, u):
+        """The receiver whose CDF interval holds ``u`` in [0, 1] — a float,
+        or an array of them.  ``u == 1.0`` is reachable (every hash at or
+        above ``2**64 - 1024`` rounds to it) and belongs to ``n - 1``."""
+        if isinstance(u, np.ndarray):
+            return np.searchsorted(self._cuts, u, side="right")
+        return bisect_right(self._cut_list, u)
 
     def assign(self, index: int) -> int:
         """Receiver id for request ``index`` (deterministic)."""
-        h = _splitmix64(np.array([index], dtype=np.uint64) ^ self._salt)
-        u = float(h[0]) / 2.0**64
-        return int(np.searchsorted(self._cdf, u, side="right"))
+        h = splitmix64(index ^ self._salt)
+        return self._receiver_at(h / 2.0**64)
 
     def assign_array(self, indices: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`assign` over an int64/uint64 index array."""
-        h = _splitmix64(indices.astype(np.int64).view(np.uint64) ^ self._salt)
+        h = splitmix64_array(
+            indices.astype(np.int64).view(np.uint64) ^ _U64(self._salt)
+        )
         u = h.astype(np.float64) / 2.0**64
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
+        return self._receiver_at(u).astype(np.int64)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "beta": self.beta, "seed": self.seed}

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.registry import resolve_policy
+from repro.hashing import mix64
 
 __all__ = [
     "ORIGIN",
@@ -52,19 +53,6 @@ __all__ = [
 
 #: Reserved name of the implicit origin sink; not a cache node.
 ORIGIN = "origin"
-
-_M64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer (scalar) — the repo's standard spatial hash."""
-    x &= _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
-    return x
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ class Topology:
         self.nodes: Dict[str, NetNode] = {}
         self._uplinks: Dict[str, List[Link]] = {}
         self.seed = int(seed)
-        self._salt = _mix64(self.seed ^ 0x6E65745F746F706F)  # "net_topo"
+        self._salt = mix64(self.seed ^ 0x6E65745F746F706F)  # "net_topo"
         # Per-node routing salt — crc32, NOT builtin hash(), which is
         # process-salted on strings and would re-route keys between runs.
         self._node_salt: Dict[str, int] = {}
@@ -165,7 +153,7 @@ class Topology:
             name, int(capacity), policy, dict(policy_kwargs or {}), tier
         )
         self._uplinks.setdefault(name, [])
-        self._node_salt[name] = _mix64(zlib.crc32(name.encode()) ^ self._salt)
+        self._node_salt[name] = mix64(zlib.crc32(name.encode()) ^ self._salt)
         return self
 
     def add_link(
@@ -248,7 +236,7 @@ class Topology:
         links = self._uplinks[name]
         if len(links) == 1:
             return links[0]
-        h = _mix64(key ^ self._node_salt[name])
+        h = mix64(key ^ self._node_salt[name])
         return links[h % len(links)]
 
     def path(self, edge: str, key: int) -> List[Link]:

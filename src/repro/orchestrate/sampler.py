@@ -25,20 +25,9 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.hashing import mix64
+
 __all__ = ["SpatialSampler"]
-
-_M64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer: a bijective 64-bit avalanche mix."""
-    x &= _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
-    return x
 
 
 class SpatialSampler:
@@ -62,12 +51,12 @@ class SpatialSampler:
         self.rate = float(rate)
         self.seed = int(seed)
         self._threshold = int(self.rate * (1 << 64))
-        self._salt = _mix64(self.seed ^ 0xA5A5A5A5A5A5A5A5)
+        self._salt = mix64(self.seed ^ 0xA5A5A5A5A5A5A5A5)
 
     def sampled(self, key) -> bool:
         """Whether ``key`` belongs to the sampled population."""
         if isinstance(key, int):
-            h = _mix64(key ^ self._salt)
+            h = mix64(key ^ self._salt)
         else:
             # Non-int keys (rare: string URLs in imported traces) go through
             # a stable digest — builtin hash() is salted per process and

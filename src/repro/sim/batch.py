@@ -61,10 +61,11 @@ import numpy as np
 from repro.cache.base import CacheStats
 from repro.cache.queue import Node
 from repro.core.scip import SCIPCache
+from repro.hashing import splitmix64_array
 from repro.sim.engine import SimResult
 from repro.sim.metrics import MetricsCollector
 from repro.sim.request import Trace, requests_from_arrays
-from repro.traces.binfmt import BinTraceReader, _splitmix64
+from repro.traces.binfmt import BinTraceReader
 
 __all__ = [
     "Int64Map",
@@ -115,7 +116,7 @@ class Int64Map:
         return self.count
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
-        h = _splitmix64(keys.view(_U64)) & _U64(self._cap - 1)
+        h = splitmix64_array(keys.view(_U64)) & _U64(self._cap - 1)
         return h.astype(np.int64)
 
     def get_many(self, keys) -> np.ndarray:

@@ -45,6 +45,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.hashing import splitmix64_array
 from repro.sim.request import Request, Trace
 
 __all__ = [
@@ -100,14 +101,6 @@ class TraceFormatError(ValueError):
         super().__init__(f"{self.path}: {message} (offset {self.offset})")
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser over a uint64 array (wrapping)."""
-    x = (x + _U64(0x9E3779B97F4A7C15)) & _U64(0xFFFFFFFFFFFFFFFF)
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
-
-
 class _ShardsSampler:
     """Bounded-memory distinct-key statistics (SHARDS-max).
 
@@ -123,7 +116,7 @@ class _ShardsSampler:
         self.sample: dict = {}
 
     def update(self, keys: np.ndarray, sizes: np.ndarray) -> None:
-        h = _splitmix64(keys.astype(np.int64).view(np.uint64))
+        h = splitmix64_array(keys.astype(np.int64).view(np.uint64))
         if self.threshold < _FULL_RATE:
             mask = h < _U64(self.threshold)
             keys, sizes = keys[mask], sizes[mask]
@@ -133,7 +126,7 @@ class _ShardsSampler:
             self.threshold >>= 1
             t = _U64(self.threshold)
             kept = np.fromiter(self.sample, dtype=np.int64, count=len(self.sample))
-            keep_mask = _splitmix64(kept.view(np.uint64)) < t
+            keep_mask = splitmix64_array(kept.view(np.uint64)) < t
             self.sample = {
                 int(k): self.sample[int(k)] for k in kept[keep_mask].tolist()
             }

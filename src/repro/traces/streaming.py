@@ -38,8 +38,9 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
+from repro.hashing import splitmix64_array
 from repro.sim.request import Trace, requests_from_arrays
-from repro.traces.binfmt import BinTraceWriter, PathLike, _splitmix64
+from repro.traces.binfmt import BinTraceWriter, PathLike
 from repro.traces.synthetic import zipf_probs
 
 __all__ = [
@@ -99,8 +100,8 @@ def _hash_sizes(
     keys_u64: np.ndarray, spec: StreamSpec, bias: np.ndarray
 ) -> np.ndarray:
     """Deterministic per-key lognormal sizes: splitmix64 → Box–Muller."""
-    h1 = _splitmix64(keys_u64)
-    h2 = _splitmix64(h1 ^ _U64(0xD6E8FEB86659FD93))
+    h1 = splitmix64_array(keys_u64)
+    h2 = splitmix64_array(h1 ^ _U64(0xD6E8FEB86659FD93))
     # 53-bit mantissa uniforms; u1 in (0, 1] so log() is finite.
     u1 = ((h1 >> _U64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (h2 >> _U64(11)).astype(np.float64) * 2.0**-53
@@ -144,7 +145,7 @@ def stream_chunks(
         # Scramble: splitmix64 is a bijection on u64, so per-object identity
         # (and the size hash already computed) survives while key locality —
         # which would leak population membership — is destroyed.
-        keys = np.ascontiguousarray(_splitmix64(keys.view(_U64))).view(np.int64)
+        keys = np.ascontiguousarray(splitmix64_array(keys.view(_U64))).view(np.int64)
         yield idx, keys, sizes
 
 

@@ -9,6 +9,8 @@ The satellite pins live here:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter, defaultdict
 
 from repro.cluster.faults import FaultPlan
@@ -136,6 +138,54 @@ class TestSpanLatencyProperty:
         assert res.latency_ms_sum > res.hop_latency_ms_sum
         # every request paid the 4 ms lookup penalty at the slow edge
         assert res.latency_ms_sum - res.hop_latency_ms_sum == 4.0 * res.requests
+
+
+class TestObservedPathPinned:
+    #: SHA-256 of the canonical JSON below, recorded from the commit before
+    #: the request body's three observer ladders were folded behind one flag.
+    DIGEST = "8629f090c36c27d664f82a867c557050e3fcb95c14fd1f0fb91062735ee26d3d"
+
+    def test_probe_registry_and_spans_are_what_the_parent_produced(self):
+        # Everything an observer can see, in the order it sees it: probe
+        # events (names and fields), the registry snapshot, and each
+        # request's span tree (names, parents, status, tags — not ids or
+        # wall times).  A fault of each kind fires mid-trace.
+        events, spans = Collect(), Collect()
+        registry = MetricsRegistry()
+        tracer = Tracer(sinks=[spans], config=TraceConfig(sample=1.0))
+        plan = (
+            FaultPlan()
+            .kill("edge1", at=1_000)
+            .slow("mid10", at=1_500, extra_latency_s=0.003)
+            .restart("edge1", at=2_500)
+            .recover("mid10", at=3_500)
+        )
+        eng = NetEngine(
+            small_tree(),
+            "PROB",
+            receivers=ZipfReceivers(8, beta=0.8),
+            fault_plan=plan,
+            registry=registry,
+            probe=Probe([events]),
+            tracer=tracer,
+        )
+        res = eng.run(small_trace(n=5_000))
+        tracer.close()
+        names = {rec["span"]: rec["name"] for rec in spans.recs}
+        doc = {
+            "events": events.recs,
+            "registry": registry.snapshot(),
+            "spans": [
+                [rec["name"], names.get(rec["parent"]), rec["status"], rec.get("tags")]
+                for rec in spans.recs
+            ],
+        }
+        kinds = Counter(rec["event"] for rec in events.recs)
+        assert kinds["net_node_down"] == kinds["net_node_up"] == 1
+        assert kinds["net_tier_hit"] and kinds["net_origin_fetch"] and kinds["net_placement"]
+        assert sum(1 for s in doc["spans"] if s[0] == "request") == res.requests
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST
 
 
 class TestFaultPlanNeverRaises:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,30 @@ from repro.traces.cdn import make_workload
 
 class TestAssignment:
     def test_scalar_matches_vectorised(self):
+        # scalar: Python ints + bisect; array: an int64 -> uint64 view
+        # through numpy.  Same ids, including where int64 runs out.
         rx = ZipfReceivers(16, beta=0.8, seed=3)
-        idx = np.arange(0, 5_000, dtype=np.int64)
-        vec = rx.assign_array(idx)
-        for i in (0, 1, 17, 999, 4_999):
-            assert rx.assign(i) == vec[i]
+        idx = np.concatenate(
+            [np.arange(0, 5_000, dtype=np.int64)]
+            + [
+                np.arange(mid - 50, mid + 50, dtype=np.int64)
+                for mid in (2**31, 2**40)
+            ]
+            + [np.arange(2**63 - 100, 2**63 - 1, dtype=np.int64), [2**63 - 1]]
+        )
+        assert idx.dtype == np.int64 and idx[-1] == 2**63 - 1
+        assert [rx.assign(i) for i in idx.tolist()] == rx.assign_array(idx).tolist()
+
+    @pytest.mark.parametrize("n, beta", [(1, 0.8), (5, 1.2), (64, 0.8), (7, 0.0)])
+    def test_top_of_the_unit_interval_is_the_last_receiver(self, n, beta):
+        # float(h) / 2**64 is exactly 1.0 for every hash >= 2**64 - 1024;
+        # searching a CDF that ends in 1.0 from the right answered n there.
+        rx = ZipfReceivers(n, beta=beta)
+        below_one = math.nextafter(1.0, 0.0)
+        assert float(2**64 - 1024) / 2.0**64 == 1.0
+        assert rx._receiver_at(1.0) == n - 1
+        assert rx._receiver_at(below_one) == n - 1
+        assert rx._receiver_at(np.array([0.0, below_one, 1.0])).tolist() == [0, n - 1, n - 1]
 
     def test_deterministic_across_instances(self):
         a = ZipfReceivers(16, beta=0.8, seed=3)
