@@ -154,18 +154,37 @@ class CachePolicy(ABC):
         """Attach an observability probe (:class:`repro.obs.probe.Probe`).
 
         Hook points (``admit``, ``evict``, policy-specific learner events)
-        start emitting; bulk-replay fast loops that bypass the hooks drop
-        back to the instrumented per-request path until :meth:`detach_probe`.
-        The decision sequence is unchanged either way — the golden-trace
-        suite pins replay-with-probe against the recorded traces.
+        start emitting.  Bulk-replay loops pass the hooks by, so they drop
+        back to the instrumented per-request path until :meth:`detach_probe`
+        — except where the loop can report the same events as aggregates
+        and the probe's sinks all take them
+        (:meth:`SCIPCache.replay_columns
+        <repro.core.scip.SCIPCache.replay_columns>` under
+        :attr:`Probe.folds <repro.obs.probe.Probe.folds>`).  The decision
+        sequence is unchanged either way — the golden-trace suite pins
+        replay-with-probe against the recorded traces.
+
+        A probe without a clock source borrows this policy's until
+        :meth:`detach_probe`.
         """
         self._probe = probe
         if probe.now is None:
-            probe.now = lambda: self.clock
+            probe.now = self._probe_clock
 
     def detach_probe(self) -> None:
-        """Remove the probe; hook points return to the single-branch no-op."""
+        """Remove the probe; hook points return to the single-branch no-op.
+
+        The clock :meth:`attach_probe` lent goes with it (a caller-supplied
+        ``now=`` stays): a probe moved to another policy must not stamp its
+        events with this one's stopped clock, nor keep it alive.
+        """
+        probe = self._probe
+        if probe is not None and probe.now == self._probe_clock:
+            probe.now = None
         self._probe = None
+
+    def _probe_clock(self) -> int:
+        return self.clock
 
     def replay(self, requests, out: Optional[list] = None) -> None:
         """Process a whole request sequence (the engine's bulk hot path).

@@ -439,18 +439,42 @@ class SCIPCache(QueueCache):
         The loop reproduces ``request``/``_hit``/``_on_hit``/``_miss``/
         ``_on_evict`` and the helpers they call as written in *this* class,
         so it engages only when none of them is overridden (``SCICache``,
-        ``SCIPLRUK``, ``SCIPLRB`` keep the hook path) and no probe is
-        attached anywhere in the learner stack (the loop passes the hook
-        points by, so tracing selects the instrumented path).
+        ``SCIPLRUK``, ``SCIPLRB`` keep the hook path).  The loop passes the
+        hook points by; what it can do for an observer is count, so a probe
+        is admitted only when that is all its sinks ask for
+        (:attr:`Probe.folds <repro.obs.probe.Probe.folds>`) and the same
+        probe sits on policy, bandit and λ controller, as
+        :meth:`attach_probe` leaves it — the loop's counters cover all
+        three.  Any other probe selects the per-event hook path.
         """
-        if (
-            self._probe is not None
-            or self.bandit._probe is not None
-            or self.lr._probe is not None
-        ):
+        probe = self._probe
+        if self.bandit._probe is not probe or self.lr._probe is not probe:
+            return False
+        if probe is not None and not probe.folds:
             return False
         cls = type(self)
         return all(getattr(cls, name) is getattr(SCIPCache, name) for name in _INLINED)
+
+    def _fold_window(self, sizes: list, decisions: list, victims: list, pool: list, out) -> None:
+        """Report what :meth:`replay_columns` held for the observer since
+        the last window edge — ``sizes`` beside their ``decisions`` (an
+        admission is a miss that fits) and the evicted nodes — then let go
+        of it: the decisions go to ``out``, the victims to the ``pool``."""
+        probe = self._probe
+        capacity = self.capacity
+        admitted = [size for size, hit in zip(sizes, decisions) if not hit and size <= capacity]
+        probe.fold("admit", len(admitted), size=admitted)
+        probe.fold(
+            "evict",
+            len(victims),
+            size=[victim.size for victim in victims],
+            hits=[victim.hit_token for victim in victims],
+        )
+        if out is not None:
+            out.extend(decisions)
+        decisions.clear()
+        pool.extend(victims)
+        victims.clear()
 
     def replay(self, requests, out: Optional[list] = None) -> None:
         """Bulk replay; bit-identical to per-request :meth:`request` calls."""
@@ -474,6 +498,16 @@ class SCIPCache(QueueCache):
         (the ω penalty before the escape draw, ``SELECT`` before the
         evictions).  ``tests/sim/test_batch_equivalence.py`` pins all of it
         against the ``request`` loop.
+
+        Under a probe that folds (see :meth:`_fast_replay_eligible`) the same
+        loop is the instrumentation: its counters are the event counts, the
+        decisions it appends give the admitted sizes, and the victims are
+        kept instead of recycled for theirs.  It hands them to
+        :meth:`Probe.fold <repro.obs.probe.Probe.fold>` at each UPDATELR
+        window edge, so what is held for the observer is one window's worth,
+        and the registry ends up as the hook path's would
+        (``tests/obs/test_fold_equivalence.py``).  Unobserved, an iteration
+        executes nothing for any of this.
         """
         if len(keys) != len(sizes):
             raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
@@ -511,6 +545,7 @@ class SCIPCache(QueueCache):
         count = queue._count
         hits = misses = bytes_hit = bytes_missed = evictions = bypasses = 0
         ghost_m = ghost_l = denials = demotions = pen_mru = pen_lru = 0
+        hl_pops = released = escaped = suspects = 0  # events only an observer counts
         tenure = self._tenure_ewma
         w_mru = bandit.w_mru
         w_lru = bandit.w_lru
@@ -525,6 +560,16 @@ class SCIPCache(QueueCache):
         pool: list = []
         pool_pop = pool.pop
         pool_append = pool.append
+        probe = self._probe
+        if probe is not None:
+            # Observed: keep every decision and every victim until the next
+            # window edge folds them; only then do the victims join the pool.
+            decisions: list = []
+            victims: list = []
+            append = decisions.append
+            pool_append = victims.append
+            first = clock  # sizes[i] arrives at clock first + 1 + i
+            folded = 0  # sizes[:folded] are with the probe already
         for key, size in zip(keys, sizes):
             clock += 1
             node = index_get(key)
@@ -552,6 +597,7 @@ class SCIPCache(QueueCache):
                 else:
                     if flags & DEMOTED:
                         conf[key] = max(conf.get(key, 0) - 2, -4)
+                        released += 1
                     node.data = flags & ~DENIED
                     if threshold_mode:
                         to_mru = w_mru > promote_threshold
@@ -614,6 +660,7 @@ class SCIPCache(QueueCache):
                         if entry is not None:
                             esize, ghits, gflag, etime = entry
                             h_l.bytes -= esize
+                            hl_pops += 1
                             long_gap = (clock - etime) > gap_factor * tenure
                             if not per_object:
                                 penalty = 2
@@ -654,13 +701,17 @@ class SCIPCache(QueueCache):
                     if act == 1:
                         if escape_draw() < escape:
                             to_mru = True
+                            escaped += 1
                         else:
                             to_mru = False
                             iflags = DENIED
                             denials += 1
                     elif act == 2:
-                        if escape_draw() >= escape:
+                        if escape_draw() < escape:
+                            escaped += 1
+                        else:
                             iflags = SUSPECT
+                            suspects += 1
                     if to_mru is None:
                         if threshold_mode:
                             to_mru = w_mru > 0.5
@@ -732,6 +783,10 @@ class SCIPCache(QueueCache):
                 used += size
             if clock >= boundary:
                 # UPDATELR, and the confidence map bounded to metadata scale.
+                if probe is not None:
+                    self.clock = clock  # lr.update's own events are stamped with it
+                    self._fold_window(sizes[folded:clock - first], decisions, victims, pool, out)
+                    folded = clock - first
                 hit_rate = (hits - win_hits_from) / (clock - win_start)
                 lam = lr_update(hit_rate, self._prev_hit_rate)
                 decay = math.exp(-lam)
@@ -744,6 +799,20 @@ class SCIPCache(QueueCache):
                     conf = self._pzro_conf = {
                         k: v for k, v in conf.items() if k in known
                     }
+        if probe is not None:
+            self._fold_window(sizes[folded:], decisions, victims, pool, out)
+            ghosts = {"m": ghost_m, "l": hl_pops}
+            probe.fold("ghost_hit", sum(ghosts.values()), list=ghosts)
+            episodes = {
+                "DEMOTED": demotions,
+                "RELEASED": released,
+                "ESCAPED": escaped,
+                "DENIED": denials,
+                "SUSPECT": suspects,
+            }
+            probe.fold("episode_transition", sum(episodes.values()), to=episodes)
+            # ω moves only under a penalty: the pair now is the last update's.
+            probe.fold("weight_update", pen_mru + pen_lru, w_mru=w_mru, w_lru=w_lru)
         # Cut leftover pooled nodes loose so they don't pin ring neighbours.
         for n in pool:
             n.prev = None

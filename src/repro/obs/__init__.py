@@ -7,7 +7,8 @@ Three pieces:
   (the TDC monitor's latency histogram is the same type);
 * **probe** — :class:`~repro.obs.probe.Probe`, the named-hook-point event
   API; policies pay one ``if self._probe is None`` branch when tracing is
-  off, and the bulk-replay fast loop opts out entirely;
+  off, the bulk-replay loops pay nothing, and a probe whose sinks only
+  aggregate is folded inside SCIP's loop instead of leaving it;
 * **sinks** — ring buffer, schema-versioned JSONL writer (gzip-able),
   registry recorder, periodic snapshot emitter; plus run **manifests**
   (seed, params, git SHA) for reproducible artifacts;

@@ -23,12 +23,16 @@ event="evict")`` get-or-creates one instrument per (name, labels) pair.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Number of log2 buckets: covers [0, 2^63) — any int the simulator produces.
 N_BUCKETS = 64
+
+#: Integers below this are exact as floats, and so are their sums up to it.
+_EXACT_FLOAT = float(1 << 53)
 
 
 class Counter:
@@ -102,6 +106,35 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def observe_many(self, values: Sequence[int]) -> None:
+        """Bulk :meth:`observe` of ints (sizes, hit tokens): state equal to
+        one ``observe`` per value, for one sort and one bisect per
+        populated bucket instead of a ``bit_length`` per value."""
+        if not values:
+            return
+        ordered = sorted(values)
+        lo, hi = ordered[0], ordered[-1]
+        last = min(hi.bit_length(), N_BUCKETS - 1) if hi > 0 else 0
+        below = 0
+        for idx in range(lo.bit_length() if lo > 0 else 0, last):
+            upto = bisect_left(ordered, 1 << idx, below)  # bucket idx ends before 2^idx
+            self.buckets[idx] += upto - below
+            below = upto
+        self.buckets[last] += len(ordered) - below
+        self.count += len(ordered)
+        total = self.sum + sum(ordered)
+        if lo >= 0 and 0.0 <= self.sum and self.sum.is_integer() and total < _EXACT_FLOAT:
+            # Every partial sum is an integer in [0, 2^53): adding the values
+            # one by one would round nowhere either.
+            self.sum = total
+        else:
+            for v in values:
+                self.sum += v
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
 
     @property
     def mean(self) -> float:

@@ -5,10 +5,17 @@ Instrumented components (``SCIPCache``, ``PositionBandit``,
 ``_probe = None`` attribute — the module-level no-op.  Attaching a probe
 shadows it with an instance attribute; every hook point in the hot code is
 therefore exactly one ``if self._probe is not None`` branch when tracing is
-off, and the bulk-replay fast loop opts out entirely
-(:meth:`repro.cache.base.QueueCache._fast_replay_eligible` refuses to
-engage while a probe is attached, so the bare loop is never even branch-
-taxed).
+off.  The bulk-replay loops pass the hook points by, so which path an
+observed policy takes is read off the probe's sinks, never set: a sink
+that needs records (ring buffer, JSONL, snapshots, anything with only
+``write``) selects the per-request hook path, while a probe whose sinks all
+take aggregates (:attr:`Probe.folds` — the lone ``RegistryRecorder`` a
+default ``ObsConfig()`` builds) rides inside
+:meth:`SCIPCache.replay_columns <repro.core.scip.SCIPCache.replay_columns>`,
+which counts as it goes and hands over one :meth:`Probe.fold` per event
+name at window edges.  The unobserved loop pays for none of it, and the
+LRU loop (:meth:`repro.cache.base.QueueCache._fast_replay_eligible`) still
+steps aside for any probe.
 
 Event vocabulary (see ``docs/obs_schema.md`` for the field tables):
 
@@ -107,7 +114,9 @@ class Probe:
     Parameters
     ----------
     sinks:
-        Objects with a ``write(record: dict)`` method, called in order.
+        Objects with a ``write(record: dict)`` method, called in order; a
+        sink may also take aggregates through ``fold(event, n, fields)``
+        (see :attr:`folds`).
     events:
         Optional event-name filter; emissions outside the set are dropped
         before any record is built.
@@ -147,6 +156,27 @@ class Probe:
         rec.update(fields)
         for sink in self.sinks:
             sink.write(rec)
+
+    @property
+    def folds(self) -> bool:
+        """Whether every sink takes aggregates, i.e. nobody needs the
+        records: an emitter that counts its own events may then report
+        them through :meth:`fold` and never build one."""
+        return all(hasattr(sink, "fold") for sink in self.sinks)
+
+    def fold(self, event: str, n: int, **fields) -> None:
+        """``n`` occurrences of ``event`` at once, for sinks that
+        :attr:`folds`: same filter, same ``seq`` as ``n`` :meth:`emit`
+        calls.  ``fields`` carries what the sinks' folds read, under the
+        record's field names (:meth:`RegistryRecorder.fold
+        <repro.obs.sinks.RegistryRecorder.fold>`)."""
+        if event not in PROBE_EVENTS:
+            raise ValueError(f"unknown probe event {event!r}")
+        if n == 0 or (self.events is not None and event not in self.events):
+            return
+        self.seq += n
+        for sink in self.sinks:
+            sink.fold(event, n, fields)
 
     def close(self) -> None:
         """Close every sink that supports it (flushes JSONL writers)."""

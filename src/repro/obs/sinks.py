@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import json
 from collections import deque
+from functools import partial
 from typing import List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -110,6 +111,12 @@ class RegistryRecorder:
       ``episodes{to=...}``;
     * log2 histograms ``admit_bytes`` / ``evict_bytes`` and
       ``evict_tenure_hits`` (hit token at eviction — the ZRO signal).
+
+    Nothing here needs a record: every fold is a count, a last value or a
+    histogram of ints, so the recorder also takes an event's occurrences as
+    one aggregate (:meth:`fold`).  Having ``fold`` is what lets
+    :attr:`Probe.folds <repro.obs.probe.Probe.folds>` keep an observed
+    policy on its bulk loop.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -118,40 +125,53 @@ class RegistryRecorder:
 
     def write(self, record: dict) -> None:
         event = record["event"]
-        fold = self._folds.get(event)
-        if fold is None:
-            fold = self._folds[event] = self._resolve(event)
-        fold(record)
+        folds = self._folds.get(event)
+        if folds is None:
+            folds = self._folds[event] = self._resolve(event)
+        folds[0](record)
+
+    def fold(self, event: str, n: int, fields: dict) -> None:
+        """``n`` records of ``event`` at once; the registry ends up as after
+        ``n`` :meth:`write` calls.  ``fields`` holds, under the record's own
+        field names, what each fold reads: ``{label value: count}`` for a
+        labelled counter, the last value for a gauge, the list of ints for
+        a histogram."""
+        folds = self._folds.get(event)
+        if folds is None:
+            folds = self._folds[event] = self._resolve(event)
+        folds[1](n, fields)
 
     def _resolve(self, event: str):
-        """Bind ``event``'s instruments on its first record; return the
-        per-record fold.  The registry lookup (label sort + key build) is
-        paid once per event type, not per record; instruments still appear
-        in the registry only once their event has occurred."""
+        """Bind ``event``'s instruments on its first occurrence; return its
+        ``(per-record, per-aggregate)`` folds.  The registry lookup (label
+        sort + key build) is paid once per event type, not per record;
+        instruments still appear in the registry only once their event has
+        occurred."""
         reg = self.registry
         count = reg.counter("events", event=event).inc
+        fold = None
         if event == "weight_update":
             w_mru, w_lru = reg.gauge("w_mru").set, reg.gauge("w_lru").set
 
-            def fold(record: dict) -> None:
-                count()
-                w_mru(record["w_mru"])
-                w_lru(record["w_lru"])
+            def fold_many(n: int, fields: dict) -> None:
+                count(n)
+                w_mru(fields["w_mru"])
+                w_lru(fields["w_lru"])
 
         elif event == "lambda_update":
             lam = reg.gauge("lambda").set
 
-            def fold(record: dict) -> None:
-                count()
-                lam(record["value"])
+            def fold_many(n: int, fields: dict) -> None:
+                count(n)
+                lam(fields["value"])
 
         elif event == "lambda_restart":
             restarts, lam = reg.counter("lambda_restarts").inc, reg.gauge("lambda").set
 
-            def fold(record: dict) -> None:
-                count()
-                restarts()
-                lam(record["value"])
+            def fold_many(n: int, fields: dict) -> None:
+                count(n)
+                restarts(n)
+                lam(fields["value"])
 
         elif event in _LABELLED:
             name, label = _LABELLED[event]
@@ -165,28 +185,47 @@ class RegistryRecorder:
                     counter = by_value[value] = reg.counter(name, **{label: value})
                 counter.inc()
 
+            def fold_many(n: int, fields: dict) -> None:
+                count(n)
+                for value, c in fields[label].items():
+                    if c:
+                        reg.counter(name, **{label: value}).inc(c)
+
         elif event == "admit":
-            admit_bytes = reg.histogram("admit_bytes").observe
+            admit = reg.histogram("admit_bytes")
+            admit_bytes = admit.observe
 
             def fold(record: dict) -> None:
                 count()
                 admit_bytes(record["size"])
 
+            def fold_many(n: int, fields: dict) -> None:
+                count(n)
+                admit.observe_many(fields["size"])
+
         elif event == "evict":
-            evict_bytes = reg.histogram("evict_bytes").observe
-            tenure = reg.histogram("evict_tenure_hits").observe
+            evict, tenures = reg.histogram("evict_bytes"), reg.histogram("evict_tenure_hits")
+            evict_bytes, tenure = evict.observe, tenures.observe
 
             def fold(record: dict) -> None:
                 count()
                 evict_bytes(record["size"])
                 tenure(record["hits"])
 
+            def fold_many(n: int, fields: dict) -> None:
+                count(n)
+                evict.observe_many(fields["size"])
+                tenures.observe_many(fields["hits"])
+
         else:
 
-            def fold(record: dict) -> None:
-                count()
+            def fold_many(n: int, fields: dict) -> None:
+                count(n)
 
-        return fold
+        if fold is None:
+            # Counts and last values: a record is its own aggregate of one.
+            fold = partial(fold_many, 1)
+        return fold, fold_many
 
 
 #: event → (counter name, the record field that labels it).

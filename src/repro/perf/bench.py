@@ -10,8 +10,10 @@ workload through a small policy set on **both** engine paths:
 
 For every policy it reports requests/second on each path, the speedup, and
 asserts the two paths produced **identical** miss ratios — a hot run of the
-golden-trace gate.  A third measurement replays with an observability probe
-attached (``tps_traced``), so the JSON records what tracing costs — and,
+golden-trace gate.  A third measurement replays under a default
+``ObsConfig()`` (``tps_traced``) — the registry-only probe, which LRU and
+ARC answer on the per-event hook path and SCIP folds inside its column
+loop — so ``trace_cost`` records what watching each policy costs; and,
 by comparing ``tps_fast`` against the previous persisted document
 (``headline.fast_tps_prev`` / ``headline.fast_change_vs_prev``), what the
 *disabled* instrumentation costs, which must stay within noise.  Results
@@ -90,8 +92,8 @@ def _best_tps(
     """Best-of-``repeats`` throughput; returns (tps, miss_ratio, byte_mr).
 
     With ``traced=True`` an observability session (registry recorder, no
-    file sink) rides along, which routes the replay through the
-    instrumented per-request path — the tracing-cost measurement.
+    file sink) rides along — on the instrumented per-request path, or for
+    SCIP folded inside its column loop — the tracing-cost measurement.
     """
     from repro.obs import ObsConfig
 

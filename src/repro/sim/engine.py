@@ -122,9 +122,13 @@ def simulate(
         given, a probe is attached to the policy for the duration of the
         replay (event stream → the configured sinks), the final registry
         snapshot lands in ``SimResult.obs``, and — if ``manifest_out`` is
-        set — a run manifest is written.  Decisions are unchanged; the
-        bulk fast loop is replaced by the instrumented per-request path
-        while the probe is attached.
+        set — a run manifest is written.  Decisions are unchanged.  Which
+        replay path runs is read off the sinks the config builds: ``ring``,
+        ``trace_out`` and ``snapshot_every`` need every record, so the
+        bulk loop gives way to the instrumented per-request path; a config
+        with none of them (``ObsConfig()``, with or without
+        ``manifest_out``) only feeds the registry, and SCIP's column loop
+        folds that in as it goes (LRU's loop still steps aside).
     """
     if fast and (interval > 0 or measure_memory):
         raise ValueError(

@@ -89,6 +89,44 @@ class TestHistogram:
         assert h.quantile(0.99) == 9
 
 
+class TestHistogramObserveMany:
+    """``observe_many`` is ``observe`` in bulk: the whole state, ``sum``'s
+    float included, equals one ``observe`` per value."""
+
+    @staticmethod
+    def _state(h: Histogram):
+        return h.buckets, h.count, repr(h.sum), h.min, h.max
+
+    @pytest.mark.parametrize(
+        "before, batch",
+        [
+            ([], [0, 1, 2, 3, 4, 1023, 1024, 0, 7]),
+            ([], [5, -3, 0, -1, 12]),                      # negatives file under bucket 0
+            ([], [1 << 63, (1 << 63) + 1500, 1500, 3, 1 << 80]),  # clamped; the sum rounds
+            ([], [(1 << 53) - 2, 1, 1, 1, 1]),             # the sum leaves the exact range
+            ([9, 100_000], [4, 4, 70_000, 1]),             # merged into a non-empty histogram
+            ([-2], [1, 2]),
+            ([0.5], [1, 2]),                               # a fractional sum so far
+        ],
+    )
+    def test_equals_repeated_observe(self, before, batch):
+        one_by_one, bulk = Histogram("x"), Histogram("x")
+        for v in before:
+            one_by_one.observe(v)
+            bulk.observe(v)
+        for v in batch:
+            one_by_one.observe(v)
+        bulk.observe_many(batch)
+        assert self._state(bulk) == self._state(one_by_one)
+        assert bulk.as_dict() == one_by_one.as_dict()
+
+    def test_empty_batch_is_a_no_op(self):
+        h = Histogram("x")
+        h.observe_many([])
+        assert h.count == 0 and h.min is None and h.max is None
+        assert h.as_dict() == Histogram("x").as_dict()
+
+
 class TestRegistry:
     def test_get_or_create_by_name_and_labels(self):
         reg = MetricsRegistry()

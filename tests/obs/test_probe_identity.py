@@ -22,7 +22,8 @@ from repro.cache.lru import LRUCache
 from repro.core.scip import SCIPCache
 from repro.obs.config import ObsConfig
 from repro.obs.probe import Probe
-from repro.obs.sinks import RegistryRecorder
+from repro.obs.sinks import RegistryRecorder, RingBufferSink, SnapshotEmitter
+from repro.sim.request import Request
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent.parent / "sim" / "golden" / "golden_traces.json"
@@ -38,8 +39,9 @@ def _hit_seq_sha256(flags) -> str:
 
 @pytest.mark.parametrize("pname", sorted(POLICIES))
 def test_replay_with_probe_matches_golden_traces(pname, cdn_t_small):
-    """The instrumented per-request path (selected whenever a probe is
-    attached) produces the exact decision sequence the golden snapshots pin."""
+    """A replay under a probe — the per-request hook path for LRU and ARC,
+    the column loop folding for this registry-only probe on SCIP — produces
+    the exact decision sequence the golden snapshots pin."""
     trace = cdn_t_small
     gold = GOLDEN[f"CDN-T|0.02|{pname}"]
     policy = POLICIES[pname](gold["capacity"])
@@ -124,3 +126,42 @@ def test_obs_config_session_wiring(tmp_path, cdn_t_small):
     # Each snapshot was taken *after* the recorder saw the same event.
     first_snap = session.snapshots.snapshots[0]
     assert first_snap["registry"]["events"]["event=admit"]["value"] > 0
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: LRUCache(1000), lambda: SCIPCache(1000, update_interval=10)], ids=["LRU", "SCIP"]
+)
+def test_detach_returns_the_clock_it_lent(make):
+    """A probe moved to a second policy is stamped by that policy's clock,
+    not by the stopped clock of the one it left — for SCIP that includes the
+    λ controller's events, which have no clock of their own — so a
+    ``SnapshotEmitter`` on it keeps firing."""
+    ring = RingBufferSink(maxlen=1000)
+    snapshots = SnapshotEmitter(RegistryRecorder().registry, every=20)
+    probe = Probe([ring, snapshots])
+    first, second = make(), make()
+    first.attach_probe(probe)
+    for i in range(5):
+        first.request(Request(i, i, 300))
+    first.detach_probe()
+    assert probe.now is None
+    seen = ring.written
+    second.attach_probe(probe)
+    for i in range(50):
+        second.request(Request(i, i % 7, 300))
+    moved = ring.as_list()[seen:]
+    stamps = [r["t"] for r in moved]
+    assert stamps == sorted(stamps) and stamps[0] == 1 and stamps[-1] == second.clock == 50
+    if isinstance(second, SCIPCache):
+        assert [r["t"] for r in moved if r["event"] == "lambda_update"] == [10, 20, 30, 40, 50]
+    assert snapshots.snapshots[-1]["t"] > 20
+    second.detach_probe()
+    assert probe.now is None
+
+
+def test_detach_leaves_a_callers_clock_alone():
+    probe = Probe([], now=lambda: 42)
+    policy = LRUCache(1000)
+    policy.attach_probe(probe)
+    policy.detach_probe()
+    assert probe.now() == 42

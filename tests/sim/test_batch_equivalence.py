@@ -39,7 +39,7 @@ from repro.core.enhance import SCIPLRUK
 from repro.core.sci import SCICache
 from repro.core.scip import SCIPCache
 from repro.obs.probe import Probe
-from repro.obs.sinks import RegistryRecorder
+from repro.obs.sinks import JSONLSink, RegistryRecorder, RingBufferSink, SnapshotEmitter
 from repro.sim.batch import (
     BATCH_POLICIES,
     batch_replay,
@@ -393,8 +393,32 @@ class TestScipLoop:
             SCIPCache(100).replay_columns([1, 2], [10])
 
 
+class _WriteOnly:
+    """The least a sink can be: it takes records, so it needs them built."""
+
+    def write(self, record: dict) -> None:
+        pass
+
+
+#: where the probe goes (``policy`` is SCIP's own ``attach_probe``: policy,
+#: bandit and λ controller get the same object), the sink added beside the
+#: ``RegistryRecorder`` as ``f(registry, tmp_path)``, and whether the column
+#: loop still engages.
+_PROBED = [
+    pytest.param("policy", None, True, id="policy"),
+    pytest.param("policy", lambda reg, tmp: RingBufferSink(maxlen=64), False, id="policy+ring"),
+    pytest.param("policy", lambda reg, tmp: JSONLSink(str(tmp / "ev.jsonl")), False, id="policy+jsonl"),
+    pytest.param("policy", lambda reg, tmp: SnapshotEmitter(reg, every=1000), False, id="policy+snapshots"),
+    pytest.param("policy", lambda reg, tmp: _WriteOnly(), False, id="policy+write-only"),
+    pytest.param("bandit", None, False, id="bandit"),
+    pytest.param("lr", None, False, id="lr"),
+    pytest.param("three-probes", None, False, id="three-probes"),
+]
+
+
 class TestHookPathGuards:
-    """Subclasses that override a hook, and any probed instance, keep the
+    """Subclasses that override a hook, and instances under a probe that
+    needs records or covers only part of the learner stack, keep the
     per-request path — through ``replay`` and through ``replay_columns``."""
 
     @pytest.mark.parametrize("entry", ["replay", "replay_columns"])
@@ -421,18 +445,32 @@ class TestHookPathGuards:
         assert bulk._atimes == loop._atimes and bulk._atimes  # only request() records them
         assert bulk.resident_keys() == loop.resident_keys()
 
-    @pytest.mark.parametrize("where", ["policy", "bandit", "lr"])
-    def test_probed_scip_emits_and_matches_golden(self, cdn_t_small, where):
+    @pytest.mark.parametrize("where, extra_sink, eligible", _PROBED)
+    def test_probed_scip_emits_and_matches_golden(
+        self, cdn_t_small, tmp_path, where, extra_sink, eligible
+    ):
+        """Which path a probed SCIP takes is read off the probe: only one
+        whose sinks all fold, sitting on the whole learner stack, stays in
+        the column loop.  Either way the events are counted and the decisions
+        are the golden ones."""
         gold = GOLDEN_SHA["CDN-T|0.02|SCIP"]
         policy = SCIPCache(gold["capacity"])
         assert policy._fast_replay_eligible()
         recorder = RegistryRecorder()
-        probe = Probe([recorder])
-        target = {"policy": policy, "bandit": policy.bandit, "lr": policy.lr}[where]
+        sinks = [recorder]
+        if extra_sink is not None:
+            sinks.append(extra_sink(recorder.registry, tmp_path))
+        probe = Probe(sinks)
+        assert probe.folds == (extra_sink is None)
+        target = {"bandit": policy.bandit, "lr": policy.lr}.get(where, policy)
         target.attach_probe(probe)
-        assert not policy._fast_replay_eligible()
+        if where == "three-probes":
+            policy.bandit.attach_probe(Probe([RegistryRecorder()]))
+            policy.lr.attach_probe(Probe([RegistryRecorder()]))
+        assert policy._fast_replay_eligible() == eligible
         out: list = []
         policy.replay(cdn_t_small.requests, out)
+        probe.close()
         assert _hit_seq_sha256(out) == gold["hit_seq_sha256"]
         assert probe.seq > 0, "the hook points were passed by"
         target.detach_probe()
