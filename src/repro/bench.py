@@ -1,81 +1,91 @@
-"""The unified bench surface: one registry, one envelope, one CLI verb.
+"""The bench surface: one registry, one document, one writer, one reproducer.
 
-Five benches grew five entry points (``repro bench``, ``serve-bench``,
-``orchestrate-bench``, ``cluster-bench``, ``net-bench``) with five
-artifact layouts and five CLI arg conventions.  This module collapses the
-*surface* without touching the *runners*: every subsystem keeps its
-``run_*_bench`` function and per-target document (those doc shapes are
-pinned by that subsystem's tests), and gains a registry entry —
-a :class:`BenchSpec` — that ``repro bench <target>`` drives.
-
-What a unified run writes is the **envelope** (schema
-:data:`BENCH_RESULT_SCHEMA`), a :class:`BenchResult` serialised as JSON:
+``repro bench <target>`` runs one of five quality benches (``serve``,
+``orchestrate``, ``cluster``, ``net``, ``tenancy``; speed lives in
+``python -m ladder``).  Every ``run_<target>_bench`` returns — and
+``BENCH_<target>.json`` holds — the same **envelope** (schema
+:data:`BENCH_RESULT_SCHEMA`), a :class:`BenchResult`:
 
 .. code-block:: text
 
     {
       "schema":        1,            # envelope version
       "target":        "serve",     # registry key
-      "target_schema": 1,            # the inner doc's own schema version
-      "config":        {...},        # the run's knobs (target-shaped)
-      "results":       {...},        # the target doc minus schema/config/manifest
-      "manifest":      {...}         # run manifest, hoisted to the top level
+      "target_schema": 1,            # version of this target's results block
+      "config":        {...},        # the run's knobs, derived values included
+      "results":       {...},        # the target's measurements
+      "manifest":      {...}         # run manifest; config again under extra
     }
 
-The manifest is hoisted *unchanged*, so each subsystem's
-``config_from_doc`` — which only reads ``doc["manifest"]["extra"]`` —
-reproduces a run from the envelope exactly as it did from the legacy doc
-(:func:`config_from_doc` here dispatches on ``target``).  Tooling that
+Runners build it with :func:`bench_result`, :func:`write_bench_doc` is
+the only writer, the subsystem formatters read it, and
+:func:`config_from_doc` turns a persisted one back into the runner's
+keywords from data on the target's :class:`BenchSpec` row.  Tooling that
 gates on metrics (``tools/check_bench_regression.py``) addresses them
 uniformly as ``results.<dotted.path>`` regardless of target.
-
-Old command names still work as thin shims that emit a
-``DeprecationWarning`` and forward to ``repro bench <target>``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from importlib import import_module
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "BENCH_RESULT_SCHEMA",
     "BenchSpec",
     "BenchResult",
     "bench_registry",
+    "bench_result",
     "run_bench",
     "config_from_doc",
     "write_bench_doc",
     "load_bench_doc",
 ]
 
-#: Version of the unified envelope; bump on breaking envelope changes
-#: (inner docs version themselves via ``target_schema``).
+#: Version of the envelope; bump on breaking envelope changes (results
+#: blocks version themselves via ``target_schema``).
 BENCH_RESULT_SCHEMA = 1
 
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One registry entry: how to run and render a bench target."""
+    """One registry row: where a target lives and how its recorded
+    config maps back onto its runner's keywords."""
 
     target: str
     description: str
-    #: ``(output=None, quick=..., **kwargs) -> legacy doc``.  Runners are
-    #: always invoked with ``output=None``; the envelope is what persists.
-    runner: Callable[..., dict]
-    #: ``legacy doc -> str`` human summary for the CLI.
-    formatter: Callable[[dict], str]
-    #: Canonical artifact path for ``repro bench <target>``.
-    default_output: str
-    #: ``legacy doc -> (config, manifest)`` — how to lift the two envelope
-    #: blocks out of this target's document (popping them from it).
-    lift: Callable[[dict], tuple] = None  # type: ignore[assignment]
+    #: Module exporting ``run_<target>_bench`` and ``format_<target>_doc``;
+    #: imported on first use, so listing the registry imports no subsystem.
+    module: str
+    #: Config keys the run computes from the others (recorded for the
+    #: reader, recomputed — not replayed — on reproduction).
+    derived: Tuple[str, ...] = ("capacity_bytes",)
+    #: ``(config key, runner keyword)`` where the two differ.
+    renames: Tuple[Tuple[str, str], ...] = (("cache_fraction", "fraction"),)
+    #: Where the config sits under ``manifest.extra``.
+    manifest_key: str = ""
+
+    @property
+    def default_output(self) -> str:
+        """Canonical artifact path for ``repro bench <target>``."""
+        return f"BENCH_{self.target}.json"
+
+    @property
+    def runner(self) -> Callable[..., "BenchResult"]:
+        """``(quick=..., **knobs) -> BenchResult``."""
+        return getattr(import_module(self.module), f"run_{self.target}_bench")
+
+    @property
+    def formatter(self) -> Callable[["BenchResult"], str]:
+        """``BenchResult -> str`` human summary for the CLI."""
+        return getattr(import_module(self.module), f"format_{self.target}_doc")
 
 
 @dataclass
 class BenchResult:
-    """One bench run in envelope form (what ``BENCH_<target>.json`` holds)."""
+    """One bench run (what ``BENCH_<target>.json`` holds)."""
 
     target: str
     target_schema: Optional[int]
@@ -97,7 +107,7 @@ class BenchResult:
 
     @classmethod
     def from_doc(cls, doc: dict, path: Optional[str] = None) -> "BenchResult":
-        if doc.get("schema") != BENCH_RESULT_SCHEMA:
+        if doc.get("schema") != BENCH_RESULT_SCHEMA or "target" not in doc:
             raise ValueError(
                 f"not a unified bench doc (schema {doc.get('schema')!r}, "
                 f"expected {BENCH_RESULT_SCHEMA})"
@@ -112,158 +122,79 @@ class BenchResult:
             path=path,
         )
 
-    def legacy_doc(self) -> dict:
-        """Reconstruct the target-shaped document the subsystem's
-        formatter and tests understand."""
-        doc = dict(self.results)
-        if self.target_schema is not None:
-            doc["schema"] = self.target_schema
-        if self.config:
-            doc.setdefault("config", self.config)
-        if self.manifest is not None:
-            doc.setdefault("manifest", self.manifest)
-        return doc
 
+_DIP = ("victim", "kill_at", "restart_at")
 
-def _lift_standard(doc: dict) -> tuple:
-    """Most targets embed ``config`` + ``manifest`` keys; hoist them."""
-    return doc.pop("config", {}), doc.pop("manifest", None)
-
-
-def _lift_engine(doc: dict) -> tuple:
-    """The engine doc is flat and manifest-less: synthesise both blocks
-    from its own fields so the envelope is uniform across targets."""
-    from repro.obs.manifest import build_manifest
-
-    config = {
-        "workload": doc.get("workload"),
-        "n_requests": doc.get("n_requests"),
-        "cache_fraction": doc.get("cache_fraction"),
-        "capacity_bytes": doc.get("capacity_bytes"),
-        "repeats": doc.get("repeats"),
-        "policies": sorted(doc.get("results", {})),
-    }
-    manifest = build_manifest(extra={"engine": config})
-    return config, manifest
+_REGISTRY = {
+    spec.target: spec
+    for spec in (
+        BenchSpec(
+            "serve",
+            "concurrent cache service + closed-loop load generator",
+            "repro.serve",
+            renames=(
+                ("cache_fraction", "fraction"),
+                ("origin_latency_s", "origin_latency"),
+                ("timeout_s", "timeout"),
+            ),
+            manifest_key="serve_config",
+        ),
+        BenchSpec(
+            "orchestrate",
+            "shadow-cache policy orchestration vs fixed candidates",
+            "repro.orchestrate.bench",
+        ),
+        BenchSpec(
+            "cluster",
+            "replicated multi-node cluster under a fault schedule",
+            "repro.cluster.bench",
+            derived=("capacity_bytes",) + _DIP,
+        ),
+        BenchSpec(
+            "net",
+            "placement x edge-policy grid over a cache tree",
+            "repro.net.bench",
+            derived=("capacities", "total_capacity_bytes") + _DIP,
+        ),
+        BenchSpec(
+            "tenancy",
+            "online multi-tenant capacity allocation vs static split",
+            "repro.tenancy.bench",
+        ),
+    )
+}
 
 
 def bench_registry() -> Dict[str, BenchSpec]:
-    """``target -> BenchSpec`` for every bench the toolkit ships.
+    """``target -> BenchSpec`` for every bench the toolkit ships."""
+    return dict(_REGISTRY)
 
-    Imports are deferred into the spec constructors' closures so listing
-    the registry stays cheap (the CLI builds it for ``--help``).
-    """
 
-    def engine_runner(**kw):
-        from repro.perf.bench import run_engine_bench
+def _spec(target) -> BenchSpec:
+    try:
+        return _REGISTRY[target]
+    except KeyError:
+        raise KeyError(
+            f"unknown bench target {target!r}; available: {sorted(_REGISTRY)}"
+        ) from None
 
-        return run_engine_bench(**kw)
 
-    def engine_formatter(doc):
-        from repro.perf.bench import format_bench
+def bench_result(
+    target: str,
+    target_schema: int,
+    config: dict,
+    results: dict,
+    trace=None,
+    seed: Optional[int] = None,
+) -> BenchResult:
+    """Wrap one run's ``config`` and ``results`` in the envelope, with a
+    run manifest (git SHA, platform, trace identity, ``config`` under
+    ``extra``) attached — the one place a run becomes a document."""
+    from repro.obs.manifest import build_manifest
 
-        return format_bench(doc)
-
-    def serve_runner(**kw):
-        from repro.serve.loadgen import run_serve_bench
-
-        return run_serve_bench(**kw)
-
-    def serve_formatter(doc):
-        from repro.serve.results import format_serve_doc
-
-        return format_serve_doc(doc)
-
-    def orchestrate_runner(**kw):
-        from repro.orchestrate.bench import run_orchestrate_bench
-
-        return run_orchestrate_bench(**kw)
-
-    def orchestrate_formatter(doc):
-        from repro.orchestrate.bench import format_orchestrate_doc
-
-        return format_orchestrate_doc(doc)
-
-    def cluster_runner(**kw):
-        from repro.cluster.bench import run_cluster_bench
-
-        return run_cluster_bench(**kw)
-
-    def cluster_formatter(doc):
-        from repro.cluster.bench import format_cluster_doc
-
-        return format_cluster_doc(doc)
-
-    def net_runner(**kw):
-        from repro.net.bench import run_net_bench
-
-        return run_net_bench(**kw)
-
-    def net_formatter(doc):
-        from repro.net.bench import format_net_doc
-
-        return format_net_doc(doc)
-
-    def tenancy_runner(**kw):
-        from repro.tenancy.bench import run_tenancy_bench
-
-        return run_tenancy_bench(**kw)
-
-    def tenancy_formatter(doc):
-        from repro.tenancy.bench import format_tenancy_doc
-
-        return format_tenancy_doc(doc)
-
-    return {
-        "engine": BenchSpec(
-            target="engine",
-            description="single-policy replay micro-benchmark (legacy vs fast path)",
-            runner=engine_runner,
-            formatter=engine_formatter,
-            default_output="BENCH_engine.json",
-            lift=_lift_engine,
-        ),
-        "serve": BenchSpec(
-            target="serve",
-            description="concurrent cache service + closed-loop load generator",
-            runner=serve_runner,
-            formatter=serve_formatter,
-            default_output="BENCH_serve.json",
-            lift=_lift_standard,
-        ),
-        "orchestrate": BenchSpec(
-            target="orchestrate",
-            description="shadow-cache policy orchestration vs fixed candidates",
-            runner=orchestrate_runner,
-            formatter=orchestrate_formatter,
-            default_output="BENCH_orchestrate.json",
-            lift=_lift_standard,
-        ),
-        "cluster": BenchSpec(
-            target="cluster",
-            description="replicated multi-node cluster under a fault schedule",
-            runner=cluster_runner,
-            formatter=cluster_formatter,
-            default_output="BENCH_cluster.json",
-            lift=_lift_standard,
-        ),
-        "net": BenchSpec(
-            target="net",
-            description="placement x edge-policy grid over a cache tree",
-            runner=net_runner,
-            formatter=net_formatter,
-            default_output="BENCH_net.json",
-            lift=_lift_standard,
-        ),
-        "tenancy": BenchSpec(
-            target="tenancy",
-            description="online multi-tenant capacity allocation vs static split",
-            runner=tenancy_runner,
-            formatter=tenancy_formatter,
-            default_output="BENCH_tenancy.json",
-            lift=_lift_standard,
-        ),
-    }
+    key = _spec(target).manifest_key or target
+    manifest = build_manifest(trace=trace, seed=seed, extra={key: config})
+    return BenchResult(target, target_schema, config, results, manifest)
 
 
 def run_bench(
@@ -273,15 +204,15 @@ def run_bench(
     seed: Optional[int] = None,
     **kwargs,
 ) -> BenchResult:
-    """Run one registered bench target and wrap its doc in the envelope.
+    """Run one registered bench target and persist its document.
 
     Parameters
     ----------
     target:
-        Registry key (``engine``, ``serve``, ``orchestrate``, ``cluster``,
-        ``net``, ``tenancy``).
+        Registry key (``serve``, ``orchestrate``, ``cluster``, ``net``,
+        ``tenancy``).
     output:
-        Envelope path; ``""`` (the default) means the target's canonical
+        Document path; ``""`` (the default) means the target's canonical
         ``BENCH_<target>.json``, ``None`` skips writing.
     quick:
         The target's CI smoke shape.
@@ -291,26 +222,10 @@ def run_bench(
     kwargs:
         Target-specific knobs, passed through to the runner verbatim.
     """
-    registry = bench_registry()
-    try:
-        spec = registry[target]
-    except KeyError:
-        raise KeyError(
-            f"unknown bench target {target!r}; available: {sorted(registry)}"
-        ) from None
+    spec = _spec(target)
     if seed is not None:
         kwargs["seed"] = seed
-    legacy = spec.runner(output=None, quick=quick, **kwargs)
-    inner = dict(legacy)
-    target_schema = inner.pop("schema", None)
-    config, manifest = spec.lift(inner)
-    result = BenchResult(
-        target=target,
-        target_schema=target_schema,
-        config=config,
-        results=inner,
-        manifest=manifest,
-    )
+    result = spec.runner(quick=quick, **kwargs)
     if output == "":
         output = spec.default_output
     if output:
@@ -319,34 +234,20 @@ def run_bench(
 
 
 def config_from_doc(doc: dict) -> dict:
-    """Rebuild the runner keyword set from a persisted envelope.
+    """Rebuild the runner's keyword set from a persisted document.
 
-    Dispatches on ``doc["target"]`` to the subsystem's own
-    ``config_from_doc`` where one exists (the manifest travels unchanged,
-    so those functions read the envelope directly); targets without a
-    reproducibility contract of their own fall back to the envelope's
-    ``config`` block minus derived fields.
+    The reproducibility contract, for every target: the ``config`` block
+    (the manifest's ``extra`` carries the same one) minus the keys the
+    run derives, under the runner's own keyword names — so
+    ``spec.runner(**config_from_doc(doc))`` is the same run again.
     """
-    target = doc.get("target")
-    if target == "orchestrate":
-        from repro.orchestrate.bench import config_from_doc as lift
-
-        return lift(doc)
-    if target == "cluster":
-        from repro.cluster.bench import config_from_doc as lift
-
-        return lift(doc)
-    if target == "tenancy":
-        from repro.tenancy.bench import config_from_doc as lift
-
-        return lift(doc)
-    cfg = dict(doc.get("config") or {})
-    cfg.pop("capacity_bytes", None)  # always derived from trace x fraction
-    if "cache_fraction" in cfg:
-        cfg["fraction"] = cfg.pop("cache_fraction")
-    if target == "engine":
-        cfg["policies"] = list(cfg.pop("policies", []))
-    return cfg
+    spec = _spec(doc.get("target"))
+    renames = dict(spec.renames)
+    return {
+        renames.get(key, key): value
+        for key, value in doc["config"].items()
+        if key not in spec.derived
+    }
 
 
 def write_bench_doc(doc: dict, path: str) -> str:

@@ -9,7 +9,7 @@ The subcommands mirror the library's workflow::
     python -m repro workload    --name CDN-W -n 50000 -o cdnw.tr [--analyze]
     python -m repro trace       gen|convert|info ... (binary trace files)
     python -m repro report      [--scale bench] -o EXPERIMENTS.md
-    python -m repro bench       engine|serve|orchestrate|cluster|net|tenancy \\
+    python -m repro bench       serve|orchestrate|cluster|net|tenancy \\
                                 [--quick] [--seed N] [-o BENCH_<target>.json]
     python -m repro obs         events.jsonl [--rows 24]
     python -m repro trace-report spans.jsonl [--trace ID] [--waterfalls 1]
@@ -27,19 +27,15 @@ reads an event stream back into the ω_m/ω_l and λ learner trajectories;
 breakdowns, and span waterfalls from the stream ``--span-out`` records
 on the serving benches.
 
-`bench <target>` drives every benchmark through one registry
+`bench <target>` drives every quality benchmark through one registry
 (:func:`repro.bench.bench_registry`) with uniform ``--quick`` /
-``--seed`` / ``-o`` conventions, and always persists the **unified
-envelope** (:data:`repro.bench.BENCH_RESULT_SCHEMA`: top-level
-``schema`` / ``target`` / ``config`` / ``results`` / ``manifest``)
-rather than the per-target legacy layout.  Targets: ``engine`` (replay
-micro-benchmark), ``serve`` (asyncio cache service + load generator),
-``orchestrate`` (shadow-cache policy switching), ``cluster``
-(replication under faults), ``net`` (cache-tree placement grid), and
-``tenancy`` (online multi-tenant capacity allocation).  The retired
-spellings — bare ``bench``, ``serve-bench``, ``orchestrate-bench``,
-``cluster-bench``, ``net-bench`` — still parse but emit a
-``DeprecationWarning`` and forward to the corresponding target.
+``--seed`` / ``-o`` conventions, and persists the one bench document
+(:data:`repro.bench.BENCH_RESULT_SCHEMA`: top-level ``schema`` /
+``target`` / ``config`` / ``results`` / ``manifest``).  Targets:
+``serve`` (asyncio cache service + load generator), ``orchestrate``
+(shadow-cache policy switching), ``cluster`` (replication under faults),
+``net`` (cache-tree placement grid), and ``tenancy`` (online multi-tenant
+capacity allocation).  Speed is measured by ``python -m ladder``.
 
 Policy names everywhere come from the unified registry
 (:func:`repro.cache.registry.available_policies`); every subcommand exits
@@ -50,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
 __all__ = ["main"]
@@ -425,7 +420,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 def _run_unified_bench(target: str, args: argparse.Namespace, **kwargs) -> int:
     """Drive one registry target through :func:`repro.bench.run_bench`,
-    print its human summary, and persist the unified envelope."""
+    print its human summary, and persist its document."""
     from repro.bench import bench_registry, run_bench
 
     spec = bench_registry()[target]
@@ -446,22 +441,10 @@ def _run_unified_bench(target: str, args: argparse.Namespace, **kwargs) -> int:
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}")
         return 2
-    print(spec.formatter(result.legacy_doc()))
+    print(spec.formatter(result))
     if result.path:
         print(f"wrote {result.path}")
     return 0
-
-
-def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    return _run_unified_bench(
-        "engine",
-        args,
-        policies=[p.strip() for p in args.policies.split(",") if p.strip()],
-        workload=args.workload,
-        n_requests=args.requests,
-        fraction=args.fraction,
-        repeats=args.repeats,
-    )
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
@@ -780,24 +763,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run one registered bench target; writes the unified envelope "
+        help="run one registered bench target; writes its document "
         "(schema BENCH_RESULT_SCHEMA) to BENCH_<target>.json",
     )
     bsub = p.add_subparsers(dest="bench_target", required=True)
-
-    p = bsub.add_parser(
-        "engine", help="engine replay micro-benchmark (legacy vs fast path)"
-    )
-    p.add_argument("--policies", default="LRU,ARC,SCIP", help="comma-separated policy names")
-    p.add_argument("--workload", default="CDN-T", choices=["CDN-T", "CDN-W", "CDN-A"])
-    p.add_argument("-n", "--requests", type=int, default=200_000)
-    p.add_argument("--fraction", type=float, default=0.02, help="cache size as WSS fraction")
-    p.add_argument("--repeats", type=int, default=3, help="timing repeats, best-of")
-    p.add_argument("--seed", type=int, default=None,
-                   help="workload seed (default: the workload's fixed seed)")
-    p.add_argument("-o", "--output", default="BENCH_engine.json", help="result JSON path ('' to skip)")
-    p.add_argument("--quick", action="store_true", help="CI smoke mode: 30k requests, 1 repeat")
-    p.set_defaults(func=_cmd_bench_engine)
 
     p = bsub.add_parser(
         "serve",
@@ -1007,54 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Retired top-level commands -> their ``repro bench <target>`` home.
-_LEGACY_BENCH_COMMANDS = {
-    "serve-bench": "serve",
-    "orchestrate-bench": "orchestrate",
-    "cluster-bench": "cluster",
-    "net-bench": "net",
-}
-
-_BENCH_TARGETS = ("engine", "serve", "orchestrate", "cluster", "net", "tenancy")
-
-
-def _rewrite_legacy_bench_argv(argv: List[str]) -> List[str]:
-    """Map retired bench spellings onto ``repro bench <target>``.
-
-    ``repro serve-bench ...`` (and friends) forward with a
-    ``DeprecationWarning``; so does bare ``repro bench --flags``, which
-    historically meant the engine micro-benchmark and now needs an
-    explicit ``engine`` target.  The rewrite happens *before* argparse so
-    the shims share the real subparsers — one flag surface, one envelope.
-    """
-    if not argv:
-        return argv
-    head = argv[0]
-    if head in _LEGACY_BENCH_COMMANDS:
-        target = _LEGACY_BENCH_COMMANDS[head]
-        warnings.warn(
-            f"'repro {head}' is deprecated; use 'repro bench {target}'",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ["bench", target] + argv[1:]
-    if head == "bench":
-        rest = argv[1:]
-        if not rest or (
-            rest[0].startswith("-") and rest[0] not in ("-h", "--help")
-        ):
-            warnings.warn(
-                "bare 'repro bench' is deprecated; use 'repro bench engine'",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return ["bench", "engine"] + rest
-    return argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_rewrite_legacy_bench_argv(argv))
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -10,7 +10,7 @@ behaviour.  This package grows the serving layer outward:
   startable :class:`CacheService` (its own shards, policies and metrics)
   plus liveness and slow-node degradation state;
 * :class:`~repro.cluster.router.ClusterRouter` — the client-facing front:
-  routes keys over a :class:`~repro.tdc.hashring.HashRing` preference
+  routes keys over a :class:`~repro.hashring.HashRing` preference
   list with replication factor R (read-one / write-all fill), failing
   over dead owners to replicas or the origin instead of raising;
 * :class:`~repro.cluster.faults.FaultPlan` — scripted node kills,
@@ -18,7 +18,7 @@ behaviour.  This package grows the serving layer outward:
 * :class:`~repro.cluster.rebalance.Rebalancer` — ring membership changes
   (cold replacement nodes, bounded ~2/n key reshuffle, optional warm
   handoff of resident metadata);
-* :mod:`~repro.cluster.bench` — ``repro cluster-bench``: R=1 vs R=2 under
+* :mod:`~repro.cluster.bench` — ``repro bench cluster``: R=1 vs R=2 under
   a kill/recover scenario, written to a schema-versioned
   ``BENCH_cluster.json`` with an embedded reproducibility manifest.
 

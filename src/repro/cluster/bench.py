@@ -1,4 +1,4 @@
-"""``repro cluster-bench`` — replication vs. node loss, quantified.
+"""``repro bench cluster`` — replication vs. node loss, quantified.
 
 One scenario, run once per replication factor on the *same* trace, ring
 and fault schedule: a flash-crowd drift trace replayed through the
@@ -15,34 +15,30 @@ later.  Three numbers summarise what replication buys:
   get``; graceful degradation means this stays 0 through kill *and*
   restart (there is always a live owner or the origin).
 
-The resulting ``BENCH_cluster.json`` (schema :data:`CLUSTER_BENCH_SCHEMA`)
-embeds a run manifest whose ``extra.cluster`` block carries the complete
-bench configuration — :func:`config_from_doc` rebuilds the keyword set,
-and the tests round-trip it — so the run is reproducible from the
-artifact alone.
+The resulting ``BENCH_cluster.json`` (results block schema
+:data:`CLUSTER_BENCH_SCHEMA`) carries the complete bench configuration —
+:func:`repro.bench.config_from_doc` rebuilds the keyword set, and the
+tests round-trip it — so the run is reproducible from the artifact alone.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import List, Optional, Sequence
 
+from repro.bench import BenchResult, bench_result
 from repro.cluster.config import ClusterConfig, build_cluster
 from repro.cluster.faults import FaultPlan
-from repro.obs.manifest import build_manifest
-from repro.tdc.hashring import HashRing
+from repro.hashring import HashRing
 from repro.traces.drift import make_drift_trace
 
 __all__ = [
     "CLUSTER_BENCH_SCHEMA",
     "run_cluster_bench",
-    "config_from_doc",
     "format_cluster_doc",
-    "write_cluster_doc",
 ]
 
-#: Version of the ``BENCH_cluster.json`` layout; bump on breaking changes.
+#: Version of ``BENCH_cluster.json``'s results block; bump on breaking changes.
 CLUSTER_BENCH_SCHEMA = 1
 
 #: A post-kill window counts as "recovered" when its hit ratio is back
@@ -173,12 +169,11 @@ def run_cluster_bench(
     window: int = 2_000,
     replications: Sequence[int] = (1, 2),
     seed: int = 0,
-    output: Optional[str] = "BENCH_cluster.json",
     quick: bool = False,
     trace_sample: float = 0.0,
     span_out: Optional[str] = None,
-) -> dict:
-    """Run the cluster bench; returns (and optionally persists) the doc.
+) -> BenchResult:
+    """Run the cluster bench; returns its document.
 
     Every replication factor replays the identical trace against an
     identical fleet (same total capacity, same ring, same fault schedule)
@@ -252,17 +247,10 @@ def run_cluster_bench(
         "restart_at": restart_at,
         "seed": seed,
     }
-    manifest = build_manifest(trace=tr, seed=seed, extra={"cluster": bench_config})
-    doc = {
-        "schema": CLUSTER_BENCH_SCHEMA,
-        "config": bench_config,
-        "scenarios": scenarios,
-        "comparison": _compare(scenarios),
-        "manifest": manifest,
-    }
-    if output:
-        write_cluster_doc(doc, output)
-    return doc
+    results = {"scenarios": scenarios, "comparison": _compare(scenarios)}
+    return bench_result(
+        "cluster", CLUSTER_BENCH_SCHEMA, bench_config, results, trace=tr, seed=seed
+    )
 
 
 def _compare(scenarios: dict) -> dict:
@@ -287,31 +275,10 @@ def _compare(scenarios: dict) -> dict:
     return comparison
 
 
-def config_from_doc(doc: dict) -> dict:
-    """Rebuild ``run_cluster_bench`` keywords from a persisted doc.
-
-    The reproducibility contract: everything needed to re-run the bench
-    lives in the embedded manifest's ``extra.cluster`` block (derived
-    fields — capacity, victim, offsets — are recomputed, not replayed).
-    """
-    cfg = dict(doc["manifest"]["extra"]["cluster"])
-    cfg["fraction"] = cfg.pop("cache_fraction")
-    for derived in ("capacity_bytes", "victim", "kill_at", "restart_at"):
-        cfg.pop(derived, None)
-    return cfg
-
-
-def write_cluster_doc(doc: dict, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def format_cluster_doc(doc: dict) -> str:
+def format_cluster_doc(doc: BenchResult) -> str:
     """Human-readable summary of one cluster-bench document."""
-    cfg = doc["config"]
-    cmp_ = doc["comparison"]
+    cfg = doc.config
+    cmp_ = doc.results["comparison"]
     lines = [
         (
             f"cluster bench — drift '{cfg['trace']}' x {cfg['n_requests']:,} "
@@ -320,7 +287,7 @@ def format_cluster_doc(doc: dict) -> str:
             f"@ {cfg['kill_at']:,}, restart @ {cfg['restart_at']:,}"
         ),
     ]
-    for name, s in sorted(doc["scenarios"].items()):
+    for name, s in sorted(doc.results["scenarios"].items()):
         rec = s["recovery_requests"]
         lines.append(
             f"  {name}: hit={s['hit_ratio']:.4f} baseline={s['baseline_hit_ratio']:.4f} "

@@ -13,7 +13,7 @@ accounting), N :class:`~repro.cluster.node.ClusterNode` whose factories
 build fresh :class:`~repro.serve.service.CacheService` instances through
 the unified policy registry (:func:`repro.cache.registry.resolve_policy`)
 — so ``policy="scip"`` works here exactly as it does in ``simulate`` and
-``serve-bench``.
+``bench serve``.
 """
 
 from __future__ import annotations

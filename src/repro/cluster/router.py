@@ -32,10 +32,10 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.faults import FaultAction, FaultPlan
 from repro.cluster.node import ClusterNode
+from repro.hashring import HashRing
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.origin import RetryPolicy, SimulatedOrigin, fetch_with_retry
 from repro.sim.request import Request
-from repro.tdc.hashring import HashRing
 
 __all__ = ["ClusterOutcome", "ClusterMetrics", "ClusterRouter"]
 

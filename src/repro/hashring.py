@@ -1,4 +1,4 @@
-"""Consistent-hash routing for the TDC cluster.
+"""Consistent-hash routing for :mod:`repro.cluster` and the TDC simulator.
 
 The basic cluster routes by ``hash(key) % n`` — correct for a fixed fleet,
 but a production CDN adds and drains nodes continuously, and modulo routing
@@ -7,9 +7,9 @@ cold miss at its new node).  A consistent-hash ring with virtual nodes
 bounds the reshuffle to ~1/n of the keyspace per node change, which is why
 every real CDN (and TDC's MCP++ stack) routes this way.
 
-:class:`HashRing` is deliberately standalone so the cluster can adopt it via
-``TDCCluster``'s router hook and tests can measure reshuffle fractions
-directly.
+:class:`HashRing` is deliberately standalone so ``ClusterRouter`` and
+``TDCCluster``'s router hook share it and tests can measure reshuffle
+fractions directly.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ where placement strategy and per-tier policy choice interact (see
 * :mod:`repro.net.placement` — LCE / LCD / probabilistic on-path placement
 * :mod:`repro.net.receivers` — Zipf-rated receivers + per-receiver WSS
 * :mod:`repro.net.engine` — the trace-replay engine
-* :mod:`repro.net.bench` — ``repro net-bench`` and ``BENCH_net.json``
+* :mod:`repro.net.bench` — ``repro bench net`` and ``BENCH_net.json``
 """
 
 from repro.net.engine import NetEngine, NetResult

@@ -1,4 +1,4 @@
-"""``repro net-bench`` — placement × edge-policy over a 3-tier CDN tree.
+"""``repro bench net`` — placement × edge-policy over a 3-tier CDN tree.
 
 Every scenario replays the **same** trace through the **same** topology
 shape at the **same** total cache capacity; only two things vary — the
@@ -17,37 +17,34 @@ windowed hit-ratio series exactly like ``BENCH_cluster.json`` does, and
 asserting the network's graceful-degradation invariant: the served-error
 rate stays 0 because origin always answers.
 
-``BENCH_net.json`` (schema :data:`NET_BENCH_SCHEMA`) embeds a run
-manifest whose ``extra.net`` block holds the full bench configuration;
-:func:`config_from_doc` rebuilds the keyword set so the artifact is
-reproducible by itself.  The doc also carries per-edge SHARDS working-set
-estimates for the receiver population, so the capacity choices are
-checkable numbers rather than folklore.
+``BENCH_net.json`` (results block schema :data:`NET_BENCH_SCHEMA`) holds
+the full bench configuration; :func:`repro.bench.config_from_doc` rebuilds
+the keyword set so the artifact is reproducible by itself.  The doc also
+carries per-edge SHARDS working-set estimates for the receiver
+population, so the capacity choices are checkable numbers rather than
+folklore.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench import BenchResult, bench_result
 from repro.cluster.bench import _dip_metrics, _window_series
 from repro.cluster.faults import FaultPlan
 from repro.net.engine import NetEngine
 from repro.net.placement import make_placement
 from repro.net.receivers import ZipfReceivers, receiver_wss_from_trace
 from repro.net.topology import tree_topology
-from repro.obs.manifest import build_manifest
 from repro.traces.cdn import make_workload
 
 __all__ = [
     "NET_BENCH_SCHEMA",
     "run_net_bench",
-    "config_from_doc",
     "format_net_doc",
-    "write_net_doc",
 ]
 
-#: Version of the ``BENCH_net.json`` layout; bump on breaking changes.
+#: Version of ``BENCH_net.json``'s results block; bump on breaking changes.
 NET_BENCH_SCHEMA = 1
 
 
@@ -174,9 +171,8 @@ def run_net_bench(
     restart_frac: float = 0.7,
     window: int = 2_000,
     seed: int = 0,
-    output: Optional[str] = "BENCH_net.json",
     quick: bool = False,
-) -> dict:
+) -> BenchResult:
     """Run the placement × edge-policy grid plus the PoP-kill scenario.
 
     The grid holds the tree shape, per-tier capacities, upper-tier policy
@@ -263,19 +259,13 @@ def run_net_bench(
         "kill_at": kill_at,
         "restart_at": restart_at,
     }
-    manifest = build_manifest(trace=tr, seed=seed, extra={"net": bench_config})
-    doc = {
-        "schema": NET_BENCH_SCHEMA,
-        "config": bench_config,
+    results = {
         "edge_wss": edge_wss,
         "scenarios": scenarios,
         "popkill": popkill,
         "comparison": _compare(scenarios, popkill, edge_policies, placements),
-        "manifest": manifest,
     }
-    if output:
-        write_net_doc(doc, output)
-    return doc
+    return bench_result("net", NET_BENCH_SCHEMA, bench_config, results, trace=tr, seed=seed)
 
 
 def _grid_total_capacity(
@@ -337,35 +327,10 @@ def _compare(
     }
 
 
-def config_from_doc(doc: dict) -> dict:
-    """Rebuild ``run_net_bench`` keywords from a persisted doc.
-
-    Derived fields (capacities, victim, offsets) are recomputed by the
-    run, not replayed — same contract as the cluster bench.
-    """
-    cfg = dict(doc["manifest"]["extra"]["net"])
-    for derived in (
-        "capacities",
-        "total_capacity_bytes",
-        "victim",
-        "kill_at",
-        "restart_at",
-    ):
-        cfg.pop(derived, None)
-    return cfg
-
-
-def write_net_doc(doc: dict, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def format_net_doc(doc: dict) -> str:
+def format_net_doc(doc: BenchResult) -> str:
     """Human-readable summary of one net-bench document."""
-    cfg = doc["config"]
-    cmp_ = doc["comparison"]
+    cfg, res = doc.config, doc.results
+    cmp_ = res["comparison"]
     lines = [
         (
             f"net bench — '{cfg['trace']}' x {cfg['n_requests']:,} requests over "
@@ -375,8 +340,8 @@ def format_net_doc(doc: dict) -> str:
             f"(beta={cfg['receiver_beta']})"
         ),
     ]
-    for name in sorted(doc["scenarios"]):
-        s = doc["scenarios"][name]
+    for name in sorted(res["scenarios"]):
+        s = res["scenarios"][name]
         tiers = " ".join(
             f"{t}={m:.3f}" for t, m in sorted(s["tier_miss_ratios"].items())
         )
@@ -385,7 +350,7 @@ def format_net_doc(doc: dict) -> str:
             f"latency={s['mean_latency_ms']:7.3f} ms "
             f"copies={s['copies_placed']:,} miss[{tiers}]"
         )
-    pk = doc["popkill"]
+    pk = res["popkill"]
     rec = pk.get("recovery_requests")
     lines.append(
         f"  popkill[{pk['grid_cell']}] kill {pk['victim']}: "
@@ -399,7 +364,7 @@ def format_net_doc(doc: dict) -> str:
         f"{cmp_['lcd_copy_reduction']}"
     )
     lines.append("  per-edge receiver WSS (SHARDS):")
-    for row in doc["edge_wss"]:
+    for row in res["edge_wss"]:
         lines.append(
             f"    {row['edge']:<7} {row['receivers']:2d} receivers "
             f"rate={row['rate']:.3f} requests={row['requests']:,} "

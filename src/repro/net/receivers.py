@@ -16,7 +16,7 @@ WSS is not ``trace WSS / n`` — hot objects are requested at many edges
 and the skew concentrates traffic — so :func:`receiver_wss` runs one
 SHARDS-style spatially-sampled distinct-(key→size) estimator per
 receiver (bounded memory, streaming) and scales the sampled byte sums
-back up.  ``repro trace info --receivers N`` and ``net-bench`` surface
+back up.  ``repro trace info --receivers N`` and ``bench net`` surface
 these numbers so per-tier capacity choices are defensible rather than
 folklore.
 """

@@ -21,18 +21,17 @@ three pieces:
   service via :meth:`repro.serve.service.CacheService.swap_policy`
   (executed on each shard's owner task — no locks).
 
-``repro orchestrate-bench`` (:mod:`repro.orchestrate.bench`) measures the
+``repro bench orchestrate`` (:mod:`repro.orchestrate.bench`) measures the
 orchestrated cache against every fixed candidate on a drift trace and
-writes ``BENCH_orchestrate.json`` with an embedded, replayable manifest.
+writes ``BENCH_orchestrate.json``, replayable via
+:func:`repro.bench.config_from_doc`.
 """
 
 from repro.orchestrate.bench import (
     DEFAULT_CANDIDATES,
     ORCHESTRATE_BENCH_SCHEMA,
-    config_from_doc,
     format_orchestrate_doc,
     run_orchestrate_bench,
-    write_orchestrate_doc,
 )
 from repro.orchestrate.controller import (
     ControllerConfig,
@@ -59,7 +58,5 @@ __all__ = [
     "ORCHESTRATE_BENCH_SCHEMA",
     "DEFAULT_CANDIDATES",
     "run_orchestrate_bench",
-    "config_from_doc",
     "format_orchestrate_doc",
-    "write_orchestrate_doc",
 ]

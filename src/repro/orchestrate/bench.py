@@ -1,4 +1,4 @@
-"""``repro orchestrate-bench`` — orchestration vs every fixed candidate.
+"""``repro bench orchestrate`` — orchestration vs every fixed candidate.
 
 One run, three measurements on the same drift trace:
 
@@ -10,20 +10,19 @@ One run, three measurements on the same drift trace:
    worst fixed candidate (the acceptance band: within a few percent of
    the best, never behind the worst).
 
-The resulting ``BENCH_orchestrate.json`` (schema
-:data:`ORCHESTRATE_BENCH_SCHEMA`) embeds a run manifest whose ``extra``
-block carries the *complete* orchestration configuration — trace family,
-seed, candidate list, sample rate, controller knobs — so a run is
-reproducible from the artifact alone (``config_from_doc`` rebuilds the
-keyword set; the tests round-trip it).
+The resulting ``BENCH_orchestrate.json`` (results block schema
+:data:`ORCHESTRATE_BENCH_SCHEMA`) carries the *complete* orchestration
+configuration — trace family, seed, candidate list, sample rate,
+controller knobs — so a run is reproducible from the artifact alone
+(:func:`repro.bench.config_from_doc` rebuilds the keyword set; the tests
+round-trip it).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.obs.manifest import build_manifest
+from repro.bench import BenchResult, bench_result
 from repro.obs.metrics import MetricsRegistry
 from repro.orchestrate.controller import (
     ControllerConfig,
@@ -36,12 +35,10 @@ __all__ = [
     "ORCHESTRATE_BENCH_SCHEMA",
     "DEFAULT_CANDIDATES",
     "run_orchestrate_bench",
-    "config_from_doc",
     "format_orchestrate_doc",
-    "write_orchestrate_doc",
 ]
 
-#: Version of the ``BENCH_orchestrate.json`` layout; bump on breaking changes.
+#: Version of ``BENCH_orchestrate.json``'s results block; bump on breaking changes.
 ORCHESTRATE_BENCH_SCHEMA = 1
 
 #: Default candidate menu: the deployed baseline first (the orchestrator
@@ -64,10 +61,9 @@ def run_orchestrate_bench(
     eval_every: int = 500,
     objective: str = "object",
     seed: int = 0,
-    output: Optional[str] = "BENCH_orchestrate.json",
     quick: bool = False,
-) -> dict:
-    """Run the orchestrate bench; returns (and optionally persists) the doc."""
+) -> BenchResult:
+    """Run the orchestrate bench; returns its document."""
     if quick:
         # CI smoke shape: a short drift trace and a two-candidate menu with
         # a decisive gap (deployed-LRU baseline vs the size-aware champion),
@@ -135,10 +131,7 @@ def run_orchestrate_bench(
         "objective": objective,
         "seed": seed,
     }
-    manifest = build_manifest(trace=tr, seed=seed, extra={"orchestrate": orch_config})
-    doc = {
-        "schema": ORCHESTRATE_BENCH_SCHEMA,
-        "config": orch_config,
+    results = {
         "fixed": fixed,
         "orchestrated": orchestrated,
         "comparison": {
@@ -153,38 +146,17 @@ def run_orchestrate_bench(
             "n_switches": len(orchestrated["switches"]),
         },
         "registry": registry.snapshot(),
-        "manifest": manifest,
     }
-    if output:
-        write_orchestrate_doc(doc, output)
-    return doc
+    return bench_result(
+        "orchestrate", ORCHESTRATE_BENCH_SCHEMA, orch_config, results, trace=tr, seed=seed
+    )
 
 
-def config_from_doc(doc: dict) -> dict:
-    """Rebuild ``run_orchestrate_bench`` keywords from a persisted doc.
-
-    This is the reproducibility contract: everything needed to re-run the
-    bench lives in the embedded manifest's ``extra.orchestrate`` block.
-    """
-    cfg = dict(doc["manifest"]["extra"]["orchestrate"])
-    cfg["n_requests"] = cfg.pop("n_requests")
-    cfg.pop("capacity_bytes", None)  # derived from trace × fraction
-    cfg["fraction"] = cfg.pop("cache_fraction")
-    return cfg
-
-
-def write_orchestrate_doc(doc: dict, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def format_orchestrate_doc(doc: dict) -> str:
+def format_orchestrate_doc(doc: BenchResult) -> str:
     """Human-readable summary of one orchestrate-bench document."""
-    cfg = doc["config"]
-    cmp_ = doc["comparison"]
-    n_live = doc["orchestrated"]["live"]["requests"]
+    cfg, res = doc.config, doc.results
+    cmp_ = res["comparison"]
+    n_live = res["orchestrated"]["live"]["requests"]
     lines = [
         (
             f"orchestrate bench — drift '{cfg['trace']}' × {n_live:,} "
@@ -194,14 +166,14 @@ def format_orchestrate_doc(doc: dict) -> str:
         "fixed candidates ({}):".format(cmp_["objective"]),
     ]
     key = "miss_ratio" if cmp_["objective"] == "object" else "byte_miss_ratio"
-    for name, row in doc["fixed"].items():
+    for name, row in res["fixed"].items():
         marks = ""
         if name == cmp_["best_fixed"]:
             marks = "  <- best"
         elif name == cmp_["worst_fixed"]:
             marks = "  <- worst"
         lines.append(f"  {name:8s} mr={row[key]:.4f}{marks}")
-    switches = doc["orchestrated"]["switches"]
+    switches = res["orchestrated"]["switches"]
     path = " -> ".join(
         [cfg["candidates"][0]] + [s["to"] for s in switches]
     )
@@ -212,9 +184,9 @@ def format_orchestrate_doc(doc: dict) -> str:
             f"{cmp_['beats_worst']}), {cmp_['n_switches']} switch(es): {path}"
         ),
         (
-            f"regret ~{doc['orchestrated']['regret_excess_misses']:.0f} excess "
+            f"regret ~{res['orchestrated']['regret_excess_misses']:.0f} excess "
             f"misses over {n_live:,} requests; final policy "
-            f"{doc['orchestrated']['live']['final_policy']}"
+            f"{res['orchestrated']['live']['final_policy']}"
         ),
     ]
     return "\n".join(lines)

@@ -1,14 +1,10 @@
-"""Performance subsystem: resource meters (Figure 9 / Figure 11) and the
-engine replay micro-benchmark with its persisted perf trajectory."""
+"""Performance subsystem: resource meters (Figure 9 / Figure 11).  Replay
+speed is measured by the ladder (``python -m ladder``), not here."""
 
-from repro.perf.bench import bench_registry, format_bench, run_engine_bench
 from repro.perf.meters import ResourceProfile, profile_many, profile_policy
 
 __all__ = [
     "ResourceProfile",
     "profile_policy",
     "profile_many",
-    "run_engine_bench",
-    "format_bench",
-    "bench_registry",
 ]

@@ -21,7 +21,7 @@ Quick tour::
     async with service:
         summary = await run_loadgen(service, trace.requests, concurrency=64)
 
-CLI: ``python -m repro serve-bench`` runs service + loadgen in one process
+CLI: ``python -m repro bench serve`` runs service + loadgen in one process
 and writes ``BENCH_serve.json``.  Design notes: ``docs/serve_design.md``.
 """
 
@@ -45,9 +45,8 @@ from repro.serve.results import (
     SERVE_BENCH_SCHEMA,
     ServeMetrics,
     ServeOutcome,
-    build_serve_doc,
+    build_serve_results,
     format_serve_doc,
-    write_serve_doc,
 )
 from repro.serve.service import CacheService
 from repro.serve.shard import CacheShard
@@ -68,9 +67,8 @@ __all__ = [
     "SERVE_BENCH_SCHEMA",
     "ServeMetrics",
     "ServeOutcome",
-    "build_serve_doc",
+    "build_serve_results",
     "format_serve_doc",
-    "write_serve_doc",
     "CacheService",
     "CacheShard",
 ]

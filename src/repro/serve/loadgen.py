@@ -8,24 +8,21 @@ arrival-time pacer in front of the clients, so the same harness can probe
 "what happens at 5 000 req/s" instead of "what happens with 64 clients".
 
 ``run_serve_bench`` is the one-process serve+loadgen entry (``repro
-serve-bench``): build the workload, the origin, the service; optionally
+bench serve``): build the workload, the origin, the service; optionally
 fire a deterministic **stampede probe** (every client hammering one cold
 sentinel key — the single-flight acceptance check); drive the trace;
-assemble ``BENCH_serve.json`` with an embedded run manifest.
+assemble the ``BENCH_serve.json`` document.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import List, Optional
+from typing import Optional
 
+from repro.bench import BenchResult, bench_result
 from repro.serve.origin import OriginConfig, RetryPolicy, SimulatedOrigin
-from repro.serve.results import (
-    build_serve_doc,
-    format_serve_doc,
-    write_serve_doc,
-)
+from repro.serve.results import SERVE_BENCH_SCHEMA, build_serve_results
 from repro.serve.service import CacheService
 from repro.sim.request import Request
 
@@ -98,7 +95,7 @@ async def run_loadgen(
     so the success distribution isn't polluted by microsecond sheds or
     multi-second retry failures.
 
-    Returns the loadgen summary block of ``BENCH_serve.json``.
+    Returns the ``loadgen`` block of ``BENCH_serve.json``'s results.
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
@@ -205,8 +202,8 @@ async def serve_bench_async(
     trace_sample: float = 0.0,
     span_out: Optional[str] = None,
     tail_latency_us: Optional[float] = None,
-) -> dict:
-    """Build service + workload, run the bench, return the result doc.
+) -> BenchResult:
+    """Build service + workload, run the bench, return its document.
 
     Tracing is opt-in: ``trace_sample > 0`` (or a ``span_out`` path)
     attaches a :class:`repro.obs.span.Tracer` to the load generator —
@@ -215,7 +212,6 @@ async def serve_bench_async(
     — and embeds the per-stage breakdown + SLO accounting in the doc.
     """
     from repro.cache.registry import resolve_policy
-    from repro.obs.manifest import build_manifest
     from repro.traces.cdn import make_workload
 
     factory = resolve_policy(policy)
@@ -242,7 +238,7 @@ async def serve_bench_async(
     config = {
         "policy": policy,
         "workload": workload,
-        "n_requests": len(trace),
+        "n_requests": n_requests,  # the budget asked for: generators realise fewer
         "cache_fraction": fraction,
         "capacity_bytes": capacity,
         "n_shards": n_shards,
@@ -302,24 +298,20 @@ async def serve_bench_async(
             "slo": slo.summary() if slo is not None else None,
             "span_out": span_out,
         }
-    manifest = build_manifest(trace=trace, seed=seed, extra={"serve_config": config})
-    return build_serve_doc(
-        config=config,
+    results = build_serve_results(
         loadgen=loadgen,
         metrics=service.metrics,
         origin_stats=origin.stats(),
         flight=service.flight_stats(),
         policy_stats=service.cache_stats(),
         stampede=stampede,
-        manifest=manifest,
         tracing=tracing,
     )
+    return bench_result("serve", SERVE_BENCH_SCHEMA, config, results, trace=trace, seed=seed)
 
 
-def run_serve_bench(
-    output: Optional[str] = "BENCH_serve.json", quick: bool = False, **kwargs
-) -> dict:
-    """Synchronous entry: run the bench, optionally persist the JSON doc.
+def run_serve_bench(quick: bool = False, **kwargs) -> BenchResult:
+    """Synchronous entry: :func:`serve_bench_async` under ``asyncio.run``.
 
     ``quick`` is the CI smoke shape: a small heavy-reuse workload with a
     visible-latency origin, so coalescing provably fires in seconds.
@@ -329,14 +321,4 @@ def run_serve_bench(
         kwargs["n_requests"] = min(kwargs.get("n_requests", 20_000), 20_000)
         kwargs.setdefault("origin_latency", 0.002)  # in-flight window is visible
         kwargs.setdefault("concurrency", 64)
-    doc = asyncio.run(serve_bench_async(**kwargs))
-    if output:
-        write_serve_doc(doc, output)
-    return doc
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin CLI shim
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["serve-bench"] + list(argv or []))
-    return args.func(args)
+    return asyncio.run(serve_bench_async(**kwargs))

@@ -1,5 +1,5 @@
 """Serve-side result records: per-request outcomes, the shared metrics
-bundle, and the ``BENCH_serve.json`` document.
+bundle, and ``BENCH_serve.json``'s results block.
 
 The metrics bundle is a thin façade over a :class:`repro.obs.metrics.
 MetricsRegistry` — the same instrument vocabulary the engine and the TDC
@@ -8,17 +8,16 @@ and the CLI already render.  Latency histograms are the obs log2
 ``Histogram`` observed in **microseconds** (integer buckets cover 1 µs …
 ~70 min, plenty for a simulated origin).
 
-``BENCH_serve.json`` (schema :data:`SERVE_BENCH_SCHEMA`) mirrors the
-``BENCH_engine.json`` pattern: one self-describing JSON document per run,
-with the run manifest (git SHA, platform, schema versions) embedded so CI
-artifacts stay reproducible evidence rather than anecdotes.
+``BENCH_serve.json`` is a :class:`repro.bench.BenchResult` like every
+other bench artifact; :data:`SERVE_BENCH_SCHEMA` versions the results
+block :func:`build_serve_results` assembles.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
+from repro.bench import BenchResult
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
@@ -26,12 +25,11 @@ __all__ = [
     "ServeOutcome",
     "ServeMetrics",
     "latency_summary",
-    "build_serve_doc",
-    "write_serve_doc",
+    "build_serve_results",
     "format_serve_doc",
 ]
 
-#: Version of the ``BENCH_serve.json`` layout; bump on breaking changes.
+#: Version of ``BENCH_serve.json``'s results block; bump on breaking changes.
 SERVE_BENCH_SCHEMA = 1
 
 
@@ -134,21 +132,17 @@ def latency_summary(hist: Histogram) -> dict:
     }
 
 
-def build_serve_doc(
-    config: dict,
+def build_serve_results(
     loadgen: dict,
     metrics: ServeMetrics,
     origin_stats: dict,
     flight: dict,
     policy_stats: dict,
     stampede: Optional[dict] = None,
-    manifest: Optional[dict] = None,
     tracing: Optional[dict] = None,
 ) -> dict:
-    """Assemble the ``BENCH_serve.json`` document from run pieces."""
+    """Assemble ``BENCH_serve.json``'s results block from run pieces."""
     doc = {
-        "schema": SERVE_BENCH_SCHEMA,
-        "config": dict(config),
         "loadgen": dict(loadgen),
         "cache": dict(policy_stats),
         "origin": {
@@ -169,27 +163,17 @@ def build_serve_doc(
     }
     if stampede is not None:
         doc["stampede"] = dict(stampede)
-    if manifest is not None:
-        doc["manifest"] = manifest
     if tracing is not None:
         doc["tracing"] = tracing
     return doc
 
 
-def write_serve_doc(doc: dict, path: str) -> str:
-    """Persist the document as pretty JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def format_serve_doc(doc: dict) -> str:
+def format_serve_doc(doc: BenchResult) -> str:
     """Human-readable summary of one serve-bench document."""
-    cfg = doc["config"]
-    lg = doc["loadgen"]
-    lat = doc["latency"]
-    origin = doc["origin"]
+    cfg, res = doc.config, doc.results
+    lg = res["loadgen"]
+    lat = res["latency"]
+    origin = res["origin"]
     lines = [
         (
             f"serve bench — {cfg.get('workload', '?')} × {lg['requests']:,} requests, "
@@ -211,18 +195,18 @@ def format_serve_doc(doc: dict) -> str:
             f"({origin['timeouts']:,} timeouts, {origin['terminal_failures']:,} terminal)"
         ),
         (
-            f"shed {doc['shed']:,} · errors {doc['errors']:,} · "
-            f"unhandled exceptions {doc['unhandled_exceptions']:,}"
+            f"shed {res['shed']:,} · errors {res['errors']:,} · "
+            f"unhandled exceptions {res['unhandled_exceptions']:,}"
         ),
     ]
-    if "stampede" in doc:
-        st = doc["stampede"]
+    if "stampede" in res:
+        st = res["stampede"]
         lines.append(
             f"stampede probe: {st['clients']:,} clients → {st['origin_fetches']:,} "
             f"origin fetch(es), {st['coalesced']:,} coalesced"
         )
-    if "tracing" in doc:
-        tr = doc["tracing"]
+    if "tracing" in res:
+        tr = res["tracing"]
         ts = tr.get("traces", {})
         lines.append(
             f"tracing: sample {ts.get('sample')} · kept "

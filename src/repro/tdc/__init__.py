@@ -3,7 +3,6 @@
 
 from repro.tdc.cluster import TDCCluster
 from repro.tdc.deploy import DeploymentResult, run_deployment
-from repro.tdc.hashring import HashRing
 from repro.tdc.latency import LatencyModel
 from repro.tdc.monitor import Monitor, MonitorBucket
 from repro.tdc.node import StorageNode
@@ -12,7 +11,6 @@ __all__ = [
     "StorageNode",
     "TDCCluster",
     "LatencyModel",
-    "HashRing",
     "Monitor",
     "MonitorBucket",
     "run_deployment",

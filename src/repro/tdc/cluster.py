@@ -39,7 +39,7 @@ class TDCCluster:
         ``f(capacity) -> CachePolicy`` used for every node (swap later per
         layer with :meth:`deploy_policy`).
     use_hashring:
-        Route by consistent hashing (:mod:`repro.tdc.hashring`) instead of
+        Route by consistent hashing (:mod:`repro.hashring`) instead of
         ``hash % n`` — what a production fleet does so that node changes
         reshuffle only ~1/n of the keyspace.
     """
@@ -68,7 +68,7 @@ class TDCCluster:
         self.origin_fetches = 0
         self.origin_bytes = 0
         if use_hashring:
-            from repro.tdc.hashring import HashRing
+            from repro.hashring import HashRing
 
             self._oc_ring = HashRing([n.name for n in self.oc])
             self._dc_ring = HashRing([n.name for n in self.dc])

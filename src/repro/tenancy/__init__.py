@@ -25,7 +25,6 @@ See ``docs/tenancy_design.md`` for the design rationale.
 from repro.tenancy.allocator import CapacityAllocator
 from repro.tenancy.bench import (
     TENANCY_BENCH_SCHEMA,
-    config_from_doc,
     format_tenancy_doc,
     run_tenancy_bench,
 )
@@ -41,6 +40,5 @@ __all__ = [
     "ReallocEvent",
     "TENANCY_BENCH_SCHEMA",
     "run_tenancy_bench",
-    "config_from_doc",
     "format_tenancy_doc",
 ]

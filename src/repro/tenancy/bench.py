@@ -15,18 +15,17 @@ a flash crowd):
 The **comparison** block is the acceptance contract: at equal total
 capacity the online allocation should cut the *worst tenant's* miss ratio
 by ≥5 % relative to static (fairness) without losing overall hit ratio
-(utilization).  The resulting ``BENCH_tenancy.json`` (schema
-:data:`TENANCY_BENCH_SCHEMA`) embeds a run manifest whose ``extra``
-block carries the complete configuration, so ``config_from_doc``
-round-trips a reproducing keyword set from the artifact alone.
+(utilization).  The resulting ``BENCH_tenancy.json`` (results block
+schema :data:`TENANCY_BENCH_SCHEMA`) carries the complete configuration,
+so :func:`repro.bench.config_from_doc` rebuilds a reproducing keyword set
+from the artifact alone.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional, Sequence
 
-from repro.obs.manifest import build_manifest
+from repro.bench import BenchResult, bench_result
 from repro.orchestrate.controller import ControllerConfig
 from repro.tenancy.controller import TenancyController
 from repro.tenancy.partition import TenantPartitionedCache
@@ -36,12 +35,10 @@ __all__ = [
     "TENANCY_BENCH_SCHEMA",
     "DEFAULT_TENANTS",
     "run_tenancy_bench",
-    "config_from_doc",
     "format_tenancy_doc",
-    "write_tenancy_doc",
 ]
 
-#: Version of the ``BENCH_tenancy.json`` layout; bump on breaking changes.
+#: Version of ``BENCH_tenancy.json``'s results block; bump on breaking changes.
 TENANCY_BENCH_SCHEMA = 1
 
 #: Default tenant mix: a stable-churn tenant, a flash-crowd tenant whose
@@ -103,10 +100,9 @@ def run_tenancy_bench(
     eval_every: int = 500,
     min_share: float = 0.05,
     seed: int = 0,
-    output: Optional[str] = "BENCH_tenancy.json",
     quick: bool = False,
-) -> dict:
-    """Run the tenancy bench; returns (and optionally persists) the doc."""
+) -> BenchResult:
+    """Run the tenancy bench; returns its document."""
     if quick:
         # CI smoke shape: short trace, same three-family mix — the flash
         # crowd still lands mid-trace, so a re-allocation provably fires.
@@ -185,58 +181,30 @@ def run_tenancy_bench(
         "min_share": min_share,
         "seed": seed,
     }
-    manifest = build_manifest(trace=tr, seed=seed, extra={"tenancy": ten_config})
-    doc = {
-        "schema": TENANCY_BENCH_SCHEMA,
-        "config": ten_config,
-        "static": static,
-        "online": online,
-        "comparison": comparison,
-        "manifest": manifest,
-    }
-    if output:
-        write_tenancy_doc(doc, output)
-    return doc
+    results = {"static": static, "online": online, "comparison": comparison}
+    return bench_result(
+        "tenancy", TENANCY_BENCH_SCHEMA, ten_config, results, trace=tr, seed=seed
+    )
 
 
-def config_from_doc(doc: dict) -> dict:
-    """Rebuild ``run_tenancy_bench`` keywords from a persisted doc.
-
-    The reproducibility contract mirrors the orchestrate bench: the
-    manifest's ``extra.tenancy`` block carries every knob; capacity is
-    derived (trace × fraction) and therefore dropped.
-    """
-    cfg = dict(doc["manifest"]["extra"]["tenancy"])
-    cfg.pop("capacity_bytes", None)
-    cfg["fraction"] = cfg.pop("cache_fraction")
-    return cfg
-
-
-def write_tenancy_doc(doc: dict, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def format_tenancy_doc(doc: dict) -> str:
+def format_tenancy_doc(doc: BenchResult) -> str:
     """Human-readable summary of one tenancy-bench document."""
-    cfg = doc["config"]
-    cmp_ = doc["comparison"]
+    cfg, res = doc.config, doc.results
+    cmp_ = res["comparison"]
     lines = [
         (
             f"tenancy bench — {len(cfg['tenants'])} tenants "
             f"({', '.join(cfg['tenants'])}) × "
-            f"{doc['static']['overall']['requests']:,} requests, "
+            f"{res['static']['overall']['requests']:,} requests, "
             f"cache {cfg['capacity_bytes'] / 1e6:.0f} MB, "
             f"objective {cfg['objective']}, seed {cfg['seed']}"
         ),
         "per-tenant miss ratio (static -> online):",
     ]
-    for t in sorted(doc["static"]["tenants"]):
-        s = doc["static"]["tenants"][t]["miss_ratio"]
-        o = doc["online"]["tenants"][t]["miss_ratio"]
-        q = doc["online"]["tenants"][t]["quota_bytes"]
+    for t in sorted(res["static"]["tenants"]):
+        s = res["static"]["tenants"][t]["miss_ratio"]
+        o = res["online"]["tenants"][t]["miss_ratio"]
+        q = res["online"]["tenants"][t]["quota_bytes"]
         lines.append(
             f"  tenant {t} ({cfg['tenants'][int(t)]:8s}) "
             f"{s:.4f} -> {o:.4f}  (final quota {q / 1e6:.1f} MB)"

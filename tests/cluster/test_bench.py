@@ -1,15 +1,15 @@
-"""cluster-bench: doc schema, dip metrics, and the reproducibility
-contract (the manifest's ``extra.cluster`` block rebuilds the run)."""
+"""``bench cluster``: doc schema, dip metrics, and the reproducibility
+contract (``repro.bench.config_from_doc`` rebuilds the run)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench import config_from_doc
 from repro.cluster.bench import (
     CLUSTER_BENCH_SCHEMA,
     _dip_metrics,
     _window_series,
-    config_from_doc,
     format_cluster_doc,
     run_cluster_bench,
 )
@@ -22,13 +22,17 @@ BENCH_KWARGS = dict(
     n_requests=8_000,
     window=500,
     fraction=0.1,
-    output=None,
 )
 
 
 @pytest.fixture(scope="module")
-def doc():
+def result():
     return run_cluster_bench(**BENCH_KWARGS)
+
+
+@pytest.fixture(scope="module")
+def doc(result):
+    return result.as_doc()
 
 
 class TestWindowing:
@@ -53,15 +57,16 @@ class TestWindowing:
 
 class TestBenchDoc:
     def test_schema_and_scenarios(self, doc):
-        assert doc["schema"] == CLUSTER_BENCH_SCHEMA
-        assert set(doc["scenarios"]) == {"R1", "R2"}
-        for s in doc["scenarios"].values():
+        assert doc["target"] == "cluster"
+        assert doc["target_schema"] == CLUSTER_BENCH_SCHEMA
+        assert set(doc["results"]["scenarios"]) == {"R1", "R2"}
+        for s in doc["results"]["scenarios"].values():
             assert s["requests"] > 0
             assert s["unhandled_exceptions"] == 0
             assert len(s["hit_ratio_series"]) > 0
 
     def test_acceptance_headlines(self, doc):
-        cmp_ = doc["comparison"]
+        cmp_ = doc["results"]["comparison"]
         # Graceful degradation: zero served errors through kill + restart...
         assert cmp_["errors_zero"]
         assert cmp_["served_error_rate"] == {"R1": 0.0, "R2": 0.0}
@@ -69,19 +74,19 @@ class TestBenchDoc:
         assert cmp_["r2_dip_shallower"]
         assert cmp_["dip_reduction"] > 0
         # R=2 pays for the dip protection with replica fills; R=1 has none.
-        assert doc["scenarios"]["R2"]["fills"] > 0
-        assert doc["scenarios"]["R1"]["fills"] == 0
+        assert doc["results"]["scenarios"]["R2"]["fills"] > 0
+        assert doc["results"]["scenarios"]["R1"]["fills"] == 0
 
     def test_fault_placement_recorded(self, doc):
         cfg = doc["config"]
         assert cfg["victim"] in {f"n{i}" for i in range(cfg["n_nodes"])}
         assert 0 < cfg["kill_at"] < cfg["restart_at"]
-        for s in doc["scenarios"].values():
+        for s in doc["results"]["scenarios"].values():
             assert s["node_downs"] == 1 and s["node_ups"] == 1
             assert s["failovers"] > 0
 
-    def test_format_is_human_readable(self, doc):
-        text = format_cluster_doc(doc)
+    def test_format_is_human_readable(self, result):
+        text = format_cluster_doc(result)
         assert "cluster bench" in text and "R=2 dip shallower" in text
 
 
@@ -91,9 +96,9 @@ class TestReproducibility:
         # Derived fields are recomputed, not replayed.
         for derived in ("capacity_bytes", "victim", "kill_at", "restart_at"):
             assert derived not in kwargs
-        redo = run_cluster_bench(output=None, **kwargs)
-        assert redo["config"] == doc["config"]
-        assert redo["scenarios"] == doc["scenarios"]
+        redo = run_cluster_bench(**kwargs)
+        assert redo.config == doc["config"]
+        assert redo.results["scenarios"] == doc["results"]["scenarios"]
 
     def test_manifest_embeds_full_config(self, doc):
         assert doc["manifest"]["extra"]["cluster"] == doc["config"]

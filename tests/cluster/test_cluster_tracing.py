@@ -46,10 +46,9 @@ class TestFailoverHopSpans:
             seed=4,
             trace_sample=0.05,
             span_out=span_out,
-            output=None,
             quick=True,
         )
-        scenario = doc["scenarios"]["R2"]
+        scenario = doc.results["scenarios"]["R2"]
         assert scenario["failovers"] > 0  # the kill actually caused failovers
         tracing = scenario["tracing"]
         assert tracing["failover_hop_spans"] == scenario["failovers"]
@@ -73,10 +72,9 @@ class TestFailoverHopSpans:
             restart_frac=0.99,
             seed=1,
             trace_sample=1.0,
-            output=None,
             quick=True,
         )
-        scenario = doc["scenarios"]["R1"]
+        scenario = doc.results["scenarios"]["R1"]
         assert scenario["tracing"]["failover_hop_spans"] == scenario["failovers"]
 
 

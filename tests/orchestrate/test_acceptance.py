@@ -7,21 +7,20 @@ least one promotion actually fires (the run starts on deployed LRU).
 Everything is deterministic per seed, so these reproduce the margins
 reported in BENCH_orchestrate.json exactly.
 
-Also pins the reproducibility contract (the bench doc embeds its full
-configuration in the obs manifest; `config_from_doc` rebuilds the bench
-keywords from the artifact alone) and the JSON round-trip.
+Also pins the reproducibility contract (the bench doc carries its full
+configuration, also under the obs manifest; `repro.bench.config_from_doc`
+rebuilds the bench keywords from the artifact alone) and the JSON
+round-trip.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro.bench import config_from_doc, load_bench_doc, write_bench_doc
 from repro.orchestrate.bench import (
     DEFAULT_CANDIDATES,
     ORCHESTRATE_BENCH_SCHEMA,
-    config_from_doc,
     format_orchestrate_doc,
     run_orchestrate_bench,
 )
@@ -35,62 +34,63 @@ N = 100_000
 
 @pytest.fixture(scope="module")
 def churn_doc():
-    return run_orchestrate_bench(trace="churn", n_requests=60_000, seed=0, output=None)
+    return run_orchestrate_bench(trace="churn", n_requests=60_000, seed=0)
 
 
 class TestAcceptanceBand:
     @pytest.mark.slow
     @pytest.mark.parametrize("trace", drift_trace_names())
     def test_within_band_on_every_drift_family(self, trace):
-        doc = run_orchestrate_bench(trace=trace, n_requests=N, seed=0, output=None)
-        cmp_ = doc["comparison"]
+        doc = run_orchestrate_bench(trace=trace, n_requests=N, seed=0)
+        cmp_ = doc.results["comparison"]
         assert cmp_["n_switches"] >= 1, cmp_
         assert cmp_["rel_to_best"] < 1.05, (trace, cmp_)
         assert cmp_["beats_worst"], (trace, cmp_)
 
     def test_churn_band_and_structure(self, churn_doc):
         """The single fast in-tier check: one drift family end to end."""
-        doc = churn_doc
-        cmp_ = doc["comparison"]
+        res = churn_doc.results
+        cmp_ = res["comparison"]
         assert cmp_["n_switches"] >= 1
         assert cmp_["rel_to_best"] < 1.05, cmp_
         assert cmp_["beats_worst"]
         # The run starts on the first candidate (deployed LRU) and every
         # switch chain link is consistent.
-        switches = doc["orchestrated"]["switches"]
+        switches = res["orchestrated"]["switches"]
         assert switches[0]["from"] == "LRU"
         for a, b in zip(switches, switches[1:]):
             assert a["to"] == b["from"]
-        assert doc["orchestrated"]["live"]["final_policy"] == switches[-1]["to"]
+        assert res["orchestrated"]["live"]["final_policy"] == switches[-1]["to"]
         # Regret is a bounded fraction of total traffic, not linear blowup.
-        assert doc["orchestrated"]["regret_excess_misses"] < 0.15 * len(
-            doc["fixed"]
-        ) * doc["config"]["n_requests"]
+        assert res["orchestrated"]["regret_excess_misses"] < 0.15 * len(
+            res["fixed"]
+        ) * churn_doc.config["n_requests"]
 
     def test_deterministic_per_seed(self):
-        a = run_orchestrate_bench(trace="churn", n_requests=20_000, seed=5, output=None)
-        b = run_orchestrate_bench(trace="churn", n_requests=20_000, seed=5, output=None)
+        a = run_orchestrate_bench(trace="churn", n_requests=20_000, seed=5).results
+        b = run_orchestrate_bench(trace="churn", n_requests=20_000, seed=5).results
         assert a["comparison"] == b["comparison"]
         assert a["orchestrated"]["switches"] == b["orchestrated"]["switches"]
 
 
 class TestBenchDoc:
     def test_schema_and_layout(self, churn_doc):
-        doc = churn_doc
-        assert doc["schema"] == ORCHESTRATE_BENCH_SCHEMA
-        assert set(doc["fixed"]) == set(DEFAULT_CANDIDATES)
-        for row in doc["fixed"].values():
+        assert churn_doc.target == "orchestrate"
+        assert churn_doc.target_schema == ORCHESTRATE_BENCH_SCHEMA
+        res = churn_doc.results
+        assert set(res["fixed"]) == set(DEFAULT_CANDIDATES)
+        for row in res["fixed"].values():
             assert {"miss_ratio", "byte_miss_ratio", "evictions"} <= set(row)
-        reg = doc["registry"]
+        reg = res["registry"]
         assert reg["shadow_requests"][""]["value"] > 0
         assert reg["orchestrate_switches"][""]["value"] == len(
-            doc["orchestrated"]["switches"]
+            res["orchestrated"]["switches"]
         )
 
     def test_manifest_reproduces_config(self, churn_doc):
         """Satellite (c): the artifact alone rebuilds the bench invocation."""
-        cfg = config_from_doc(churn_doc)
-        orch = churn_doc["manifest"]["extra"]["orchestrate"]
+        cfg = config_from_doc(churn_doc.as_doc())
+        orch = churn_doc.manifest["extra"]["orchestrate"]
         assert cfg["trace"] == "churn"
         assert cfg["seed"] == 0
         assert cfg["candidates"] == list(DEFAULT_CANDIDATES)
@@ -98,32 +98,28 @@ class TestBenchDoc:
         assert "capacity_bytes" not in cfg  # derived, not an input
         # And the rebuilt invocation is actually runnable + reproduces the
         # headline number (short trace to keep the round-trip cheap).
-        small = run_orchestrate_bench(
-            trace="churn", n_requests=15_000, seed=2, output=None
-        )
-        again = run_orchestrate_bench(**config_from_doc(small), output=None)
-        assert again["comparison"] == small["comparison"]
+        small = run_orchestrate_bench(trace="churn", n_requests=15_000, seed=2)
+        again = run_orchestrate_bench(**config_from_doc(small.as_doc()))
+        assert again.results["comparison"] == small.results["comparison"]
 
     def test_manifest_seed_and_candidates_embedded(self, churn_doc):
-        orch = churn_doc["manifest"]["extra"]["orchestrate"]
+        orch = churn_doc.manifest["extra"]["orchestrate"]
         assert orch["seed"] == 0
         assert orch["candidates"] == list(DEFAULT_CANDIDATES)
         assert orch["sample_rate"] == 0.2
         # The manifest also carries the usual reproducibility block; its
         # trace length is the *realised* request count (generators truncate
         # bursts), which the live run replayed in full.
-        assert churn_doc["manifest"]["trace"]["requests"] == churn_doc[
+        assert churn_doc.manifest["trace"]["requests"] == churn_doc.results[
             "orchestrated"
         ]["live"]["requests"]
 
     def test_json_round_trip(self, tmp_path, churn_doc):
-        from repro.orchestrate.bench import write_orchestrate_doc
-
         path = tmp_path / "BENCH_orchestrate.json"
-        write_orchestrate_doc(churn_doc, str(path))
-        loaded = json.loads(path.read_text())
-        assert loaded["comparison"] == churn_doc["comparison"]
-        assert loaded["schema"] == ORCHESTRATE_BENCH_SCHEMA
+        write_bench_doc(churn_doc.as_doc(), str(path))
+        loaded = load_bench_doc(str(path))
+        assert loaded.results["comparison"] == churn_doc.results["comparison"]
+        assert loaded.target_schema == ORCHESTRATE_BENCH_SCHEMA
 
     def test_format_is_readable(self, churn_doc):
         text = format_orchestrate_doc(churn_doc)
@@ -134,15 +130,15 @@ class TestBenchDoc:
 
 class TestQuickMode:
     def test_quick_is_fast_and_still_switches(self):
-        doc = run_orchestrate_bench(quick=True, output=None)
-        assert doc["config"]["n_requests"] <= 40_000
-        assert list(doc["fixed"]) == ["LRU", "GDSF"]
-        cmp_ = doc["comparison"]
+        doc = run_orchestrate_bench(quick=True)
+        assert doc.config["n_requests"] <= 40_000
+        assert list(doc.results["fixed"]) == ["LRU", "GDSF"]
+        cmp_ = doc.results["comparison"]
         assert cmp_["n_switches"] >= 1
         assert cmp_["beats_worst"]
 
     def test_quick_respects_explicit_candidates(self):
         doc = run_orchestrate_bench(
-            quick=True, candidates=("LRU", "SCIP"), trace="churn", output=None
+            quick=True, candidates=("LRU", "SCIP"), trace="churn"
         )
-        assert list(doc["fixed"]) == ["LRU", "SCIP"]
+        assert list(doc.results["fixed"]) == ["LRU", "SCIP"]

@@ -28,8 +28,8 @@ QUICK_BASELINE = REPO_ROOT / "BENCH_serve.quick.json"
 def _best_rps(repeats: int, **kwargs) -> float:
     best = 0.0
     for _ in range(repeats):
-        doc = run_serve_bench(output=None, quick=True, **kwargs)
-        best = max(best, doc["loadgen"]["throughput_rps"])
+        doc = run_serve_bench(quick=True, **kwargs)
+        best = max(best, doc.results["loadgen"]["throughput_rps"])
     return best
 
 
@@ -41,8 +41,6 @@ class TestServeTracingOverhead:
         # guard uses a 12% floor so runner noise cannot flake it while a
         # real hot-path regression (an always-on span, a per-request
         # allocation) still trips it.
-        # The committed baseline is a unified envelope (repro bench serve):
-        # the serve doc sits under "results", the knobs under "config".
         committed = json.loads(QUICK_BASELINE.read_text())
         baseline_rps = committed["results"]["loadgen"]["throughput_rps"]
         floor = baseline_rps * 0.88

@@ -142,7 +142,7 @@ class TestTracedBench:
                 seed=11,
                 trace_sample=1.0,
             )
-        )
+        ).results
         tracing = doc["tracing"]
         assert tracing["traces"]["orphan_spans"] == 0
         assert tracing["traces"]["unclosed_spans"] == 0
@@ -164,7 +164,7 @@ class TestTracedBench:
                 seed=3,
                 trace_sample=0.05,
             )
-        )
+        ).results
         tracing = doc["tracing"]
         stats = tracing["traces"]
         assert stats["traces_started"] == doc["loadgen"]["requests"]
@@ -183,7 +183,7 @@ class TestTracedBench:
                 seed=5,
                 trace_sample=1.0,
             )
-        )
+        ).results
         slo = doc["tracing"]["slo"]
         assert "request" in slo and "origin_fetch" in slo
         req = slo["request"]
@@ -200,7 +200,7 @@ class TestTracedBench:
                 origin_latency=0.001,
                 trace_sample=0.0,
             )
-        )
+        ).results
         assert "tracing" not in doc
 
 

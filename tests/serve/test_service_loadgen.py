@@ -7,6 +7,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.bench import write_bench_doc
 from repro.cache.base import CachePolicy
 from repro.cache.lru import LRUCache
 from repro.obs.probe import Probe
@@ -211,7 +212,6 @@ class TestServeBenchDoc:
     def test_quick_bench_document_shape(self, tmp_path):
         out = tmp_path / "BENCH_serve.json"
         doc = run_serve_bench(
-            output=str(out),
             quick=True,
             n_requests=3_000,
             n_shards=2,
@@ -219,14 +219,20 @@ class TestServeBenchDoc:
             origin_latency=0.001,
             timeout=0.5,
         )
+        write_bench_doc(doc.as_doc(), str(out))
         on_disk = json.loads(out.read_text())
-        assert on_disk["schema"] == SERVE_BENCH_SCHEMA
+        assert on_disk["target"] == "serve"
+        assert on_disk["target_schema"] == SERVE_BENCH_SCHEMA
         assert on_disk["config"]["n_shards"] == 2
-        assert on_disk["unhandled_exceptions"] == 0
-        assert on_disk["stampede"]["origin_fetches"] == 1
-        assert on_disk["origin"]["coalesced_waits"] > 0
-        assert on_disk["loadgen"]["requests"] == on_disk["config"]["n_requests"]
-        assert on_disk["latency"]["count"] > 0
+        res = on_disk["results"]
+        assert res["unhandled_exceptions"] == 0
+        assert res["stampede"]["origin_fetches"] == 1
+        assert res["origin"]["coalesced_waits"] > 0
+        # config holds the budget asked for (what reproduces the run);
+        # the manifest holds the length the generator realised.
+        assert on_disk["config"]["n_requests"] == 3_000
+        assert res["loadgen"]["requests"] == on_disk["manifest"]["trace"]["requests"]
+        assert res["latency"]["count"] > 0
         # The embedded manifest makes the artifact self-describing.
         assert on_disk["manifest"]["schema"] >= 1
         assert on_disk["manifest"]["extra"]["serve_config"]["policy"] == "SCIP"
@@ -236,4 +242,4 @@ class TestServeBenchDoc:
 
     def test_bench_rejects_unknown_policy(self):
         with pytest.raises(KeyError, match="unknown policy"):
-            run_serve_bench(output=None, policy="NOPE", n_requests=100)
+            run_serve_bench(policy="NOPE", n_requests=100)

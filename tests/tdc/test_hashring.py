@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tdc.hashring import HashRing
+from repro.hashring import HashRing
 
 
 class TestHashRing:

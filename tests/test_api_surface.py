@@ -8,8 +8,6 @@ working (via deprecation shims where the home moved).
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro.api
@@ -65,7 +63,7 @@ class TestApiSurface:
     def test_bench_facade_lists_the_targets(self):
         registry = repro.api.bench_registry()
         assert set(registry) == {
-            "engine", "serve", "orchestrate", "cluster", "net", "tenancy",
+            "serve", "orchestrate", "cluster", "net", "tenancy",
         }
         for target, spec in registry.items():
             assert spec.target == target
@@ -134,15 +132,6 @@ class TestOldPathsKeepWorking:
         assert type(old_make_policy("SCIP", 10_000)) is type(
             make_policy("SCIP", 10_000)
         )
-
-    def test_bench_registry_shim_warns_and_matches(self):
-        from repro.perf.bench import bench_registry
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = bench_registry()
-        assert any(w.category is DeprecationWarning for w in caught)
-        assert shimmed == policy_registry()
 
     def test_smart_cache_importable_from_both_homes(self):
         from repro.api import SmartCache as from_api

@@ -4,11 +4,11 @@
 Usage::
 
     python tools/check_bench_regression.py \
-        --baseline BENCH_engine.committed.json \
-        --candidate BENCH_engine.json \
+        --baseline BENCH_serve.quick.json \
+        --candidate BENCH_serve.json \
         --schema 1 \
-        --metric results.headline.tps_batch \
-        --max-drop 0.15
+        --metric results.loadgen.throughput_rps \
+        --max-drop 0.25
 
 ``--metric`` is a dotted path into the JSON document (list indices allowed:
 ``results.0.tps``) and is repeatable — every given metric is checked and
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         "--metric",
         required=True,
         action="append",
-        help="dotted path, e.g. headline.tps_batch (repeatable; all must pass)",
+        help="dotted path, e.g. results.loadgen.throughput_rps (repeatable; all must pass)",
     )
     ap.add_argument(
         "--max-drop",
