@@ -17,11 +17,11 @@ The facade spans the five subsystems grown around the paper reproduction:
   (:func:`write_bin` / :func:`read_bin` / :class:`BinTraceReader` /
   :class:`BinTraceWriter`, errors as :class:`TraceFormatError`), the
   constant-memory generators (:func:`stream_to_bin`,
-  :func:`workload_to_bin`), and the array-backed replay engine
-  (:func:`simulate_batch`, :func:`batch_replay`,
-  :func:`batch_supported`, :func:`mrc_sweep`) that streams ``.bin``
-  files chunk-at-a-time, bit-exact with :func:`simulate` on the
-  batch-capable policies;
+  :func:`workload_to_bin`), and the streaming replay driver
+  (:func:`simulate_batch`, :func:`batch_replay`, :func:`mrc_sweep`) that
+  replays ``.bin`` files chunk-at-a-time through any registry policy,
+  bit-exact with :func:`simulate` (:func:`batch_supported`: the names
+  with a dedicated, faster core);
 * **serving** — :class:`CacheService`, the concurrent asyncio cache with
   sharded single-owner policies, and its :class:`SimulatedOrigin` /
   :class:`OriginConfig` / :class:`RetryPolicy` knobs;

@@ -24,7 +24,7 @@ matching CDN simulator convention — counting them as unavoidable misses.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cache.queue import LinkedQueue, Node
 from repro.sim.request import Request
@@ -106,6 +106,12 @@ class CachePolicy(ABC):
     #: ``if self._probe is not None`` branch until :meth:`attach_probe`
     #: shadows this with an instance attribute.
     _probe = None
+
+    #: Whether decisions read ``Request.next_access``.  An oracle declares
+    #: it: :func:`repro.sim.engine.simulate` annotates the trace for it, and
+    #: a driver that streams a file refuses it (the future is not in the
+    #: chunk at hand).
+    needs_future: bool = False
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -208,6 +214,27 @@ class CachePolicy(ABC):
             for req in requests:
                 append(request(req))
 
+    def replay_columns(self, keys: list, sizes: list, out: Optional[list] = None) -> None:
+        """Replay parallel ``keys``/``sizes`` lists (a trace chunk's columns).
+
+        The bulk contract every driver above the policies feeds: what
+        :meth:`replay` does for a request sequence, for a sequence nobody
+        has to build — each ``Request`` exists for the one :meth:`request`
+        call that reads it, stamped with the policy's own clock, so a file
+        of any length replays in the memory of one chunk.  Subclasses
+        override with an inlined loop under the same rule as :meth:`replay`.
+        """
+        if len(keys) != len(sizes):
+            raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
+        request = self.request
+        if out is None:
+            for key, size in zip(keys, sizes):
+                request(Request(self.clock, key, size))
+        else:
+            append = out.append
+            for key, size in zip(keys, sizes):
+                append(request(Request(self.clock, key, size)))
+
     # -- resident-set portability -------------------------------------------
     def export_residents(self):
         """Yield ``(key, size)`` for every resident object, coldest first.
@@ -224,15 +251,30 @@ class CachePolicy(ABC):
         return iter(())
 
     def import_resident(self, key: int, size: int) -> bool:
-        """Admit one exported object without recording a hit or miss.
+        """Take one exported object from a predecessor's resident set.
 
         Migration is opt-in: the base class refuses, so swapping onto a
         policy with no migration story (priority structures whose state a
         bare ``(key, size)`` pair cannot reconstruct) stays a cold
         restart — the pre-protocol behaviour.  Queue policies and
-        composite partitions override.
+        composite partitions override with :meth:`admit`.
         """
         return False
+
+    def admit(self, key: int, size: int) -> bool:
+        """Admit one object through the normal miss path, off the record.
+
+        Insertion position, evictions and capacity accounting all apply,
+        but no hit/miss is counted — a replication fill or a migration is
+        not traffic.  Works for every policy (it touches only the template's
+        own pieces).  ``True`` if the miss path ran (a policy with an
+        admission filter may still decline there), ``False`` if the object
+        is already resident or larger than the cache.
+        """
+        if size > self.capacity or self._lookup(key):
+            return False
+        self._miss(Request(self.clock, key, size))
+        return True
 
     # -- introspection ----------------------------------------------------------
     def __len__(self) -> int:
@@ -367,7 +409,7 @@ class QueueCache(CachePolicy):
     def _fast_replay_eligible(self) -> bool:
         """Whether this instance runs the stock template end to end.
 
-        The inlined loop in :meth:`replay` reproduces the *default*
+        The inlined loop in :meth:`replay_columns` reproduces the *default*
         ``request``/``_hit``/``_miss``/eviction plumbing with all state held
         in locals; any override could observe stale instance state mid-loop,
         so the fast loop only engages when every overridable piece is the
@@ -399,15 +441,30 @@ class QueueCache(CachePolicy):
     def replay(self, requests, out: Optional[list] = None) -> None:
         """Bulk replay; bit-identical to per-request :meth:`request` calls.
 
-        For the default-template case (classic LRU) the whole
-        lookup→promote / make-room→insert cycle is inlined into one loop:
-        no method dispatch, queue pointers spliced directly, counters
-        accumulated in locals and folded back into ``stats``/``queue`` state
-        once at the end.  This is the ~3× engine speedup the benchmark
-        subsystem tracks; the golden-trace suite pins its equivalence.
+        An instance :meth:`_fast_replay_eligible` admits hands the inlined
+        loop of :meth:`replay_columns` the two columns it reads; any other
+        walks the requests it was given.
         """
         if not self._fast_replay_eligible():
             return CachePolicy.replay(self, requests, out)
+        if not isinstance(requests, (list, tuple)):
+            requests = list(requests)
+        self.replay_columns([r.key for r in requests], [r.size for r in requests], out)
+
+    def replay_columns(self, keys: list, sizes: list, out: Optional[list] = None) -> None:
+        """:meth:`CachePolicy.replay_columns`, inlined for the default template.
+
+        For classic LRU the whole lookup→promote / make-room→insert cycle
+        is one loop: no ``Request``, no method dispatch, queue pointers
+        spliced directly, counters accumulated in locals and folded back
+        into ``stats``/``queue`` state once at the end.  This is the ~3×
+        engine speedup the ladder tracks; the golden-trace suite pins its
+        equivalence.
+        """
+        if not self._fast_replay_eligible():
+            return CachePolicy.replay_columns(self, keys, sizes, out)
+        if len(keys) != len(sizes):
+            raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
         index = self.index
         index_get = index.get
         queue = self.queue
@@ -426,9 +483,7 @@ class QueueCache(CachePolicy):
         pool: list = []
         pool_pop = pool.pop
         pool_append = pool.append
-        for req in requests:
-            key = req.key
-            size = req.size
+        for key, size in zip(keys, sizes):
             node = index_get(key)
             if node is not None:
                 # Hit: account, bump the residency token, splice to MRU.
@@ -529,16 +584,9 @@ class QueueCache(CachePolicy):
             yield node.key, node.size
 
     def import_resident(self, key: int, size: int) -> bool:
-        """Admit one exported object through the normal miss path.
-
-        No hit/miss is recorded — a migration is not traffic.  Returns
-        ``True`` if the object was admitted (``False``: already resident
-        or larger than the cache).
-        """
-        if size > self.capacity or self._lookup(key):
-            return False
-        self._miss(Request(self.clock, key, size))
-        return True
+        """:meth:`admit` it: fed an LRU → MRU export, the miss path
+        rebuilds the queue."""
+        return self.admit(key, size)
 
     def check_invariants(self) -> None:
         """Structural self-check used by property tests."""

@@ -28,6 +28,7 @@ class BeladyCache(CachePolicy):
     """Offline-optimal eviction (farthest next access)."""
 
     name = "Belady"
+    needs_future = True
 
     def __init__(self, capacity: int):
         super().__init__(capacity)

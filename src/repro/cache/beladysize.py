@@ -29,6 +29,7 @@ class BeladySizeCache(CachePolicy):
     """Greedy size-aware offline oracle (evict max size × distance)."""
 
     name = "Belady-Size"
+    needs_future = True
 
     def __init__(self, capacity: int):
         super().__init__(capacity)

@@ -3,7 +3,7 @@
 The subcommands mirror the library's workflow::
 
     python -m repro simulate    --policy SCIP --workload CDN-T --fraction 0.02 \\
-                                [--trace-file big.bin --batch] \\
+                                [--trace-file big.bin] \\
                                 [--trace-out events.jsonl --obs-summary]
     python -m repro experiment  fig8 [--scale bench]
     python -m repro workload    --name CDN-W -n 50000 -o cdnw.tr [--analyze]
@@ -16,9 +16,9 @@ The subcommands mirror the library's workflow::
 
 `simulate` replays one policy on one workload (optionally recording a
 schema-versioned JSONL event stream, registry snapshots, and a run
-manifest) and streams ``.bin`` traces through the batch engine at paper
-scale when the policy has a batch core (``--batch`` insists on it: batch
-or exit 2); `experiment` prints a paper
+manifest); a ``.bin`` trace file streams chunk by chunk, in bounded memory
+at paper scale, for every registry policy (only an observability flag or a
+Belady oracle materialises it); `experiment` prints a paper
 table; `workload` generates/analyses/saves traces; `trace` generates,
 converts (text<->binary, streaming both ways), and inspects binary trace
 files; `report` regenerates the full paper-vs-measured document; `obs`
@@ -53,6 +53,7 @@ __all__ = ["main"]
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.cache.registry import resolve_policy
+    from repro.sim.batch import simulate_batch
     from repro.sim.engine import simulate
     from repro.traces.binfmt import BinTraceReader, TraceFormatError, is_bin_trace, read_bin
     from repro.traces.cdn import make_workload
@@ -63,31 +64,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(str(exc).strip('"\''))
         return 2
-
-    if args.batch or _replays_through_batch_core(args):
-        return _simulate_batch(args)
-
-    if args.trace_file:
-        try:
-            if is_bin_trace(args.trace_file):
-                trace = read_bin(args.trace_file)
-            else:
-                trace = read_lrb(args.trace_file)
-        except (TraceFormatError, ValueError, OSError) as exc:
-            print(f"cannot read trace: {exc}")
-            return 2
-    else:
-        trace = make_workload(args.workload, n_requests=args.requests)
-    if args.cache_bytes:
-        cap = args.cache_bytes
-    elif args.trace_file and is_bin_trace(args.trace_file):
-        # Plan capacity from the header's working-set estimate so the same
-        # file + fraction gives the same cache with and without --batch.
-        with BinTraceReader(args.trace_file) as reader:
-            cap = max(int(reader.wss_estimate * args.fraction), 1)
-    else:
-        cap = max(int(trace.working_set_size * args.fraction), 1)
-
     if args.snapshot_every < 0:
         print(f"--snapshot-every must be >= 0, got {args.snapshot_every}")
         return 2
@@ -104,100 +80,52 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             manifest_out=manifest_out,
         )
 
+    # A .bin streams chunk by chunk, whatever the policy, with capacity
+    # planned from the header's working-set estimate (no preparatory scan;
+    # the same file + fraction gives the same cache streamed or
+    # materialised).  Only a run that wants per-request events, or an oracle
+    # that wants the annotated trace, materialises it.
+    trace = wss = None
     try:
-        res = simulate(factory(cap), trace, warmup=args.warmup, obs=obs)
-    except OSError as exc:
-        if obs is None:
-            raise
-        print(f"cannot write observability output: {exc}")
+        if args.trace_file and is_bin_trace(args.trace_file):
+            with BinTraceReader(args.trace_file) as reader:
+                wss = reader.wss_estimate
+            if obs is not None or getattr(factory, "needs_future", False):
+                trace = read_bin(args.trace_file)
+        elif args.trace_file:
+            trace = read_lrb(args.trace_file)
+        else:
+            trace = make_workload(args.workload, n_requests=args.requests)
+    except (TraceFormatError, ValueError, OSError) as exc:
+        print(f"cannot read trace: {exc}")
         return 2
+    if wss is None:
+        wss = trace.working_set_size
+    cap = args.cache_bytes or max(int(wss * args.fraction), 1)
+
+    if trace is None:
+        res = simulate_batch(args.policy, args.trace_file, cap, warmup=args.warmup)
+    else:
+        try:
+            res = simulate(factory(cap), trace, warmup=args.warmup, obs=obs)
+        except OSError as exc:
+            if obs is None:
+                raise
+            print(f"cannot write observability output: {exc}")
+            return 2
     print(
-        f"{res.policy} on {res.trace}: miss_ratio={res.miss_ratio:.4f} "
+        f"{res.policy} on {res.trace}{' [batch]' if trace is None else ''}: "
+        f"miss_ratio={res.miss_ratio:.4f} "
         f"byte_miss_ratio={res.byte_miss_ratio:.4f} tps={res.tps:,.0f} "
         f"cache={cap / 1e9:.3f} GB"
     )
-    if res.obs is not None:
+    if obs is not None:
         if args.trace_out:
             print(f"wrote {args.trace_out} ({res.obs['events_written']} events)")
         if obs.manifest_out:
             print(f"wrote {obs.manifest_out}")
         if args.obs_summary:
             print(_format_registry(res.obs["registry"]))
-    return 0
-
-
-def _replays_through_batch_core(args: argparse.Namespace) -> bool:
-    """Without ``--batch``, a ``.bin`` file still streams through the
-    policy's batch core when it has one — unless an observability flag
-    asks for the per-request events only the rich engine emits."""
-    from repro.sim.batch import batch_supported
-    from repro.traces.binfmt import is_bin_trace
-
-    if not args.trace_file or not batch_supported(args.policy):
-        return False
-    if args.trace_out or args.snapshot_every or args.manifest_out or args.obs_summary:
-        return False
-    return is_bin_trace(args.trace_file)
-
-
-def _simulate_batch(args: argparse.Namespace) -> int:
-    """``simulate --batch`` (or a ``.bin`` file whose policy has a batch
-    core): stream the trace through the batch engine.
-
-    Binary trace files never materialise in memory — capacity defaults to
-    ``fraction`` of the header's working-set estimate so a paper-scale
-    file needs no preparatory full scan.
-    """
-    from repro.sim.batch import batch_supported, simulate_batch
-    from repro.traces.binfmt import BinTraceReader, TraceFormatError, is_bin_trace
-    from repro.traces.cdn import make_workload
-
-    if not batch_supported(args.policy):
-        from repro.sim.batch import BATCH_POLICIES
-
-        print(
-            f"policy {args.policy!r} has no batch core; "
-            f"batch-capable: {sorted(BATCH_POLICIES)} (drop --batch for the rich engine)"
-        )
-        return 2
-    if args.trace_out or args.snapshot_every or args.manifest_out:
-        print(
-            "--batch replays arrays, not events; event-stream flags need the rich "
-            "engine (--obs-summary works: chunk-boundary aggregates)"
-        )
-        return 2
-
-    reader = None
-    try:
-        if args.trace_file:
-            if not is_bin_trace(args.trace_file):
-                print(
-                    f"{args.trace_file} is not a binary trace; convert it first "
-                    "(repro trace convert) or drop --batch"
-                )
-                return 2
-            try:
-                reader = BinTraceReader(args.trace_file)
-            except (TraceFormatError, OSError) as exc:
-                print(f"cannot read trace: {exc}")
-                return 2
-            source = reader
-            wss = reader.wss_estimate
-        else:
-            source = make_workload(args.workload, n_requests=args.requests)
-            wss = source.working_set_size
-        cap = args.cache_bytes or max(int(wss * args.fraction), 1)
-        res = simulate_batch(args.policy, source, cap, warmup=args.warmup)
-    finally:
-        if reader is not None:
-            reader.close()
-    print(
-        f"{res.policy} on {res.trace} [batch]: miss_ratio={res.miss_ratio:.4f} "
-        f"byte_miss_ratio={res.byte_miss_ratio:.4f} tps={res.tps:,.0f} "
-        f"cache={cap / 1e9:.3f} GB"
-    )
-    if args.obs_summary and res.obs is not None:
-        print(_format_registry(res.obs["registry"]))
     return 0
 
 
@@ -655,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="CDN-T", choices=["CDN-T", "CDN-W", "CDN-A"])
     p.add_argument(
         "--trace-file",
-        help="trace file instead of synthetic (LRB text or .bin, sniffed by magic)",
+        help="trace file instead of synthetic (LRB text or .bin, sniffed by magic; "
+        "a .bin streams in bounded memory unless an event-stream flag is set)",
     )
     p.add_argument("-n", "--requests", type=int, default=100_000)
     p.add_argument("--fraction", type=float, default=0.02, help="cache size as WSS fraction")
@@ -664,12 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="absolute capacity in bytes (overrides --fraction)",
-    )
-    p.add_argument(
-        "--batch",
-        action="store_true",
-        help="require the batch engine (LRU/FIFO/CLOCK/SIEVE/SCIP; exit 2 otherwise); "
-        ".bin traces stream through it by default when the policy has a batch core",
     )
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument(

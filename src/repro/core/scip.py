@@ -66,7 +66,7 @@ from repro.cache.queue import Node
 from repro.core.history import HistoryList
 from repro.core.learning import LAMBDA_MAX, LAMBDA_MIN, LearningRateController
 from repro.core.mab import PositionBandit
-from repro.sim.request import Request, requests_from_arrays
+from repro.sim.request import Request
 
 __all__ = ["SCIPCache", "NORMAL", "DENIED", "DEMOTED", "SUSPECT", "CLEARED"]
 
@@ -476,14 +476,6 @@ class SCIPCache(QueueCache):
         pool.extend(victims)
         victims.clear()
 
-    def replay(self, requests, out: Optional[list] = None) -> None:
-        """Bulk replay; bit-identical to per-request :meth:`request` calls."""
-        if not self._fast_replay_eligible():
-            return CachePolicy.replay(self, requests, out)
-        if not isinstance(requests, (list, tuple)):
-            requests = list(requests)
-        self.replay_columns([r.key for r in requests], [r.size for r in requests], out)
-
     def replay_columns(self, keys: list, sizes: list, out: Optional[list] = None) -> None:
         """Replay parallel ``keys``/``sizes`` lists (a trace chunk's columns).
 
@@ -509,10 +501,10 @@ class SCIPCache(QueueCache):
         (``tests/obs/test_fold_equivalence.py``).  Unobserved, an iteration
         executes nothing for any of this.
         """
+        if not self._fast_replay_eligible():
+            return CachePolicy.replay_columns(self, keys, sizes, out)
         if len(keys) != len(sizes):
             raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
-        if not self._fast_replay_eligible():
-            return CachePolicy.replay(self, requests_from_arrays(keys, sizes), out)
         index = self.index
         index_get = index.get
         queue = self.queue
@@ -556,7 +548,7 @@ class SCIPCache(QueueCache):
         win_start = clock - self._win_reqs
         win_hits_from = -self._win_hits
         boundary = win_start + update_interval
-        # Evicted nodes are recycled for later inserts (see QueueCache.replay).
+        # Evicted nodes are recycled for later inserts (see QueueCache.replay_columns).
         pool: list = []
         pool_pop = pool.pop
         pool_append = pool.append

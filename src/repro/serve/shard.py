@@ -18,8 +18,7 @@ Concurrency model — the whole point of the design:
   single-flight generation; the leader awaits ``fetch_with_retry`` right
   there, in the caller's task, and closes the generation; followers chain
   a future on it.  A slow origin suspends only the callers waiting for
-  that key.  A detached task exists for :meth:`CacheShard.submit` (which
-  must return before the fetch ends) and as the hand-over when a leader is
+  that key.  A detached task exists only as the hand-over when a leader is
   cancelled mid-fetch.
 * **Backpressure is the unanswered bound.**  ``queue_depth`` bounds the
   requests the shard holds *unanswered* (decided, waiting on an origin
@@ -182,7 +181,7 @@ class CacheShard:
         self.unanswered += 1
         try:
             if not leader:
-                return await self._chain(lease, hit, True, span)
+                return await self._chain(lease, hit, span)
             try:
                 outcome = await self._lead(req.key, req.size, span)
             except asyncio.CancelledError:
@@ -194,34 +193,11 @@ class CacheShard:
         finally:
             self.unanswered -= 1
 
-    def submit(self, req: Request, span=None) -> "asyncio.Future[ServeOutcome]":
-        """Decide ``req`` now; return a future of its :class:`ServeOutcome`.
-
-        Never blocks.  The decision has been made when ``submit`` returns,
-        so calls are answered by the policy in place at the call; the
-        future is already resolved for a hit or a shed.  A leader's fetch
-        runs in a detached task.
-        """
-        decided = self._decide(req, span)
-        if isinstance(decided, ServeOutcome):
-            fut = asyncio.get_running_loop().create_future()
-            fut.set_result(decided)
-            return fut
-        hit, lease, leader = decided
-        if leader:
-            self._detach(req.key, req.size, span)
-        self.unanswered += 1
-        fut = self._chain(lease, hit, not leader, span)
-        fut.add_done_callback(self._answered)
-        return fut
-
-    def _answered(self, _fut: asyncio.Future) -> None:
-        self.unanswered -= 1
-
     def _chain(
-        self, lease: asyncio.Future, hit: bool, coalesced: bool, span=None
+        self, lease: asyncio.Future, hit: bool, span=None
     ) -> "asyncio.Future[ServeOutcome]":
-        """A future resolved from the flight's terminal :class:`FetchOutcome`.
+        """A coalesced waiter's future, resolved from the flight's terminal
+        :class:`FetchOutcome`.
 
         The waiter gets its own future: awaiting ``lease`` directly would
         let one cancelled waiter cancel the generation for all of them.
@@ -229,11 +205,8 @@ class CacheShard:
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         m = self.metrics
         shard_id = self.shard_id
-        wspan = None
-        if coalesced:
-            m.coalesced.inc()
-            if span is not None:
-                wspan = span.child("flight_wait", coalesced=True)
+        m.coalesced.inc()
+        wspan = span.child("flight_wait", coalesced=True) if span is not None else None
 
         def _done(f: asyncio.Future) -> None:
             outcome: FetchOutcome = f.result()
@@ -244,7 +217,7 @@ class CacheShard:
             if outcome.error is not None:
                 m.errors.inc()
             fut.set_result(
-                ServeOutcome(hit, coalesced=coalesced, error=outcome.error, shard=shard_id)
+                ServeOutcome(hit, coalesced=True, error=outcome.error, shard=shard_id)
             )
 
         lease.add_done_callback(_done)
@@ -293,32 +266,26 @@ class CacheShard:
             )
         return new
 
-    async def request_swap(self, factory, span=None) -> CachePolicy:
-        """Awaitable :meth:`swap` (it never suspends)."""
-        return self.swap(factory, span)
-
     # -- replication fill --------------------------------------------------
     def fill(self, req: Request) -> bool:
         """Admit ``req``'s metadata without serving it (replication fill).
 
         The replica-fill analogue of :meth:`swap`'s resident-set
-        migration: the object enters through the policy's normal miss path
-        (:meth:`repro.cache.base.CachePolicy._miss` — insertion position,
-        evictions and capacity accounting all apply) but no hit/miss is
-        recorded, so a fill never pollutes the policy's served-traffic
-        statistics.  Never shed.  ``True`` if the object was admitted,
-        ``False`` if already resident or larger than the shard; a policy
-        bug is counted as unhandled and reads ``False``.
+        migration, through the primitive a queue policy's
+        ``import_resident`` is (:meth:`~repro.cache.base.CachePolicy.admit`,
+        which every policy has): the object enters through the policy's
+        normal miss path — insertion position, evictions and capacity
+        accounting all apply — but no hit/miss is recorded, so a fill never
+        pollutes the policy's served-traffic statistics.  Never shed.
+        ``True`` if the object was admitted, ``False`` if already resident
+        or larger than the shard (or its tenant's partition); a policy bug
+        is counted as unhandled and reads ``False``.
         """
-        policy = self.policy
         try:
-            if req.size > policy.capacity or policy.contains(req.key):
-                return False
-            policy._miss(Request(policy.clock, req.key, req.size))
+            return self.policy.admit(req.key, req.size)
         except Exception:
             self.metrics.unhandled.inc()
             return False
-        return True
 
     # -- tenant quotas -----------------------------------------------------
     def set_quotas(self, quotas: dict) -> bool:

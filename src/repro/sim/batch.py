@@ -1,13 +1,27 @@
-"""Array-backed batch replay — the paper-scale fast path.
+"""Bounded-memory replay of trace files — the paper-scale path.
 
-The rich engine replays Python ``Request`` objects through linked-list
-policies at ~2 M req/s; the paper's traces are 78–100 M requests.  This
-module replays **structure-of-arrays chunks** (the shape
-:meth:`repro.traces.binfmt.BinTraceReader.iter_chunks` yields) through
-vectorised re-implementations of the stateless-hot policies — LRU, FIFO,
-CLOCK, SIEVE — with **bit-exact** decisions: the equivalence harness in
+One driver (:func:`batch_replay` / :func:`simulate_batch`, and
+:func:`repro.sim.parallel.mrc_sweep` above them) streams
+**structure-of-arrays chunks** (the shape
+:meth:`repro.traces.binfmt.BinTraceReader.iter_chunks` yields) through *any*
+registry policy: each chunk's columns go to the policy's
+:meth:`~repro.cache.base.CachePolicy.replay_columns`, so memory is one chunk
+plus the resident set at any trace length and no ``Request`` list is ever
+built.  Only a policy that declares it reads the future
+(:attr:`~repro.cache.base.CachePolicy.needs_future`) is refused.
+
+For five names the driver picks a **dedicated core** instead
+(:data:`BATCH_POLICIES`; :func:`batch_supported` answers "has one") — an
+optimisation, never a different answer: the equivalence harness in
 ``tests/sim/test_batch_equivalence.py`` pins every hit/miss and the final
-resident set against the rich engine.
+resident set against the per-request path.  LRU, FIFO, CLOCK and SIEVE are
+array re-implementations that take the ndarray columns as they come
+(``process_chunk(keys, sizes, out)``); SCIP's entry *is* the registry
+:class:`~repro.core.scip.SCIPCache`, whose ``replay_columns`` is one inlined
+loop over the policy's own queue, history lists, bandit and RNG — its tail
+insertions (denials, demotions) and data-dependent RNG draws break the
+monotone boundary the array model needs.  ``docs/trace_format.md`` has the
+measured break-even between the cores and the policies' own loops.
 
 How the LRU/FIFO fast path works (the *slot model*)
 ---------------------------------------------------
@@ -38,16 +52,10 @@ still allocation-free per request.
 Traces whose keys change size between requests (the rich engine's
 size-update semantics) are detected per chunk and **spill**: the batch
 state is migrated — in recency order — into the real registry policy,
-which finishes the replay with reference semantics.  Memory stays bounded
-at any trace length: slot arrays are compacted (live slots renumbered,
-key map rebuilt from live slots only) as the boundary advances.
-
-SCIP is the fifth core and not an array model: its tail insertions
-(denials, demotions) and data-dependent RNG draws break the monotone
-boundary, so :class:`BatchSCIP` *is* the registry policy, fed each chunk's
-columns through :meth:`repro.core.scip.SCIPCache.replay_columns` — one
-scalar inlined loop over the policy's own queue, history lists, bandit and
-RNG.  State-exact with the per-request path, and nothing to spill.
+which finishes the replay with reference semantics, fed the same columns.
+Memory stays bounded at any trace length: slot arrays are compacted (live
+slots renumbered, key map rebuilt from live slots only) as the boundary
+advances.
 """
 
 from __future__ import annotations
@@ -59,12 +67,12 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.base import CacheStats
-from repro.cache.queue import Node
+from repro.cache.registry import make_policy
 from repro.core.scip import SCIPCache
 from repro.hashing import splitmix64_array
 from repro.sim.engine import SimResult
-from repro.sim.metrics import MetricsCollector
-from repro.sim.request import Trace, requests_from_arrays
+from repro.sim.metrics import MetricsCollector, stats_mark
+from repro.sim.request import Trace
 from repro.traces.binfmt import BinTraceReader
 
 __all__ = [
@@ -73,7 +81,6 @@ __all__ = [
     "BatchFIFO",
     "BatchClock",
     "BatchSieve",
-    "BatchSCIP",
     "BATCH_POLICIES",
     "batch_supported",
     "make_batch_policy",
@@ -402,32 +409,29 @@ class _BatchQueueCore:
         self.spills += 1
         policy = self._policy_cls(self.capacity)
         rel = self._live_rel()
-        # Ascending slot order is oldest-first; push_mru each in turn to
-        # rebuild the exact recency/insertion order.
+        # Ascending slot order is oldest-first; admitting each in turn
+        # rebuilds the exact recency/insertion order.
         for k, s in zip(self.slot_key[rel].tolist(), self.slot_size[rel].tolist()):
-            node = Node(k, s)
-            policy.queue.push_mru(node)
-            policy.index[k] = node
-        policy.used = self.used
+            policy.import_resident(k, s)
+        assert policy.used == self.used, (policy.used, self.used)
         policy.stats = self.stats  # shared object: counters stay unified
         policy.clock = self.clock
         self._policy = policy
         self.slot_key = self.slot_size = self.slot_next = None  # type: ignore[assignment]
         self.map = None  # type: ignore[assignment]
 
-    def _replay_policy(self, times, keys, sizes, out) -> None:
-        reqs = requests_from_arrays(keys, sizes, times)
-        self._policy.replay(reqs, out)
+    def _replay_policy(self, keys, sizes, out) -> None:
+        self._policy.replay_columns(keys.tolist(), sizes.tolist(), out)
         self.clock = self._policy.clock
         self.used = self._policy.used
         self.resident = len(self._policy)
 
     # -- main entry ----------------------------------------------------------
-    def process_chunk(self, times, keys, sizes, out: Optional[list] = None) -> None:
-        """Replay one structure-of-arrays chunk.
+    def process_chunk(self, keys, sizes, out: Optional[list] = None) -> None:
+        """Replay one chunk's ``keys``/``sizes`` columns (ndarrays).
 
         ``out``, when given, receives one boolean per request (hit=True) —
-        the same decision stream :meth:`CachePolicy.replay` produces.
+        the same decision stream :meth:`CachePolicy.replay_columns` produces.
         """
         keys = np.ascontiguousarray(keys, np.int64)
         sizes = np.ascontiguousarray(sizes, np.int64)
@@ -437,7 +441,7 @@ class _BatchQueueCore:
         if m == 0:
             return
         if self._policy is not None:
-            return self._replay_policy(times, keys, sizes, out)
+            return self._replay_policy(keys, sizes, out)
 
         C = self.capacity
         t0 = self.next_slot
@@ -455,7 +459,7 @@ class _BatchQueueCore:
         if grouped is None:
             # A key changes size within this chunk: reference semantics.
             self._spill()
-            return self._replay_policy(times, keys, sizes, out)
+            return self._replay_policy(keys, sizes, out)
         fidx, lidx, pred, succ, gassign = grouped
 
         if promote:
@@ -480,7 +484,7 @@ class _BatchQueueCore:
                 # Size changed across chunks (covers resident-but-oversized
                 # requests too: stored <= C < new size).
                 self._spill()
-                return self._replay_policy(times, keys, sizes, out)
+                return self._replay_policy(keys, sizes, out)
 
         # --- static slot state for this chunk -----------------------------
         self.slot_key[off : off + m] = keys
@@ -820,7 +824,7 @@ class _ScalarRingCore:
     def _evict_one(self) -> None:
         raise NotImplementedError
 
-    def process_chunk(self, times, keys, sizes, out: Optional[list] = None) -> None:
+    def process_chunk(self, keys, sizes, out: Optional[list] = None) -> None:
         C = self.capacity
         st = self.stats
         index = self.index
@@ -908,46 +912,53 @@ class BatchSieve(_ScalarRingCore):
 
 
 # ---------------------------------------------------------------------------
-# SCIP: the policy itself behind the chunk protocol
-# ---------------------------------------------------------------------------
-class BatchSCIP(SCIPCache):
-    """The registry policy behind the chunk protocol (module docstring):
-    size changes, bypasses and λ restarts are native cases of
-    :meth:`SCIPCache.replay_columns`, so there is never a spill."""
-
-    spilled = False
-
-    def process_chunk(self, times, keys, sizes, out: Optional[list] = None) -> None:
-        self.replay_columns(np.asarray(keys).tolist(), np.asarray(sizes).tolist(), out)
-
-
-# ---------------------------------------------------------------------------
 # Registry + engine entry points
 # ---------------------------------------------------------------------------
+#: Names the driver replays through a dedicated core rather than the
+#: registry policy's own ``replay_columns``.  SCIP's is the registry policy.
+#: LRU / FIFO keep the slot model although ``QueueCache.replay_columns``
+#: exists: each wins on some shape (docs/trace_format.md, break-even table).
 BATCH_POLICIES = {
     "LRU": BatchLRU,
     "FIFO": BatchFIFO,
     "CLOCK": BatchClock,
     "SIEVE": BatchSieve,
-    "SCIP": BatchSCIP,
+    "SCIP": SCIPCache,
 }
 
 
 def batch_supported(name: str) -> bool:
-    """Whether the batch engine has a bit-exact core for this policy name."""
+    """Whether this policy name has a dedicated core (any registry policy
+    streams; these do it faster)."""
     return name in BATCH_POLICIES
 
 
 def make_batch_policy(name: str, capacity: int):
-    """Instantiate a batch core by registry policy name."""
-    try:
-        cls = BATCH_POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"policy {name!r} has no batch core; batch-capable: "
-            f"{sorted(BATCH_POLICIES)}"
-        ) from None
-    return cls(capacity)
+    """What the driver replays ``name`` through: its dedicated core where
+    :data:`BATCH_POLICIES` has one, else the registry policy itself."""
+    cls = BATCH_POLICIES.get(name)
+    return cls(capacity) if cls is not None else make_policy(name, capacity)
+
+
+def _resolve(policy, cache_bytes: int):
+    """``(core, feed)`` for a policy name (or a ready core / policy instance):
+    ``feed(keys, sizes, out=None)`` is its bulk entry over ndarray columns —
+    an array core's own, or a policy's ``replay_columns`` behind the two
+    ``tolist()`` it needs."""
+    core = make_batch_policy(policy, cache_bytes) if isinstance(policy, str) else policy
+    if getattr(core, "needs_future", False):
+        raise ValueError(
+            f"policy {core.name!r} reads the future (needs_future): a streamed chunk "
+            "carries no next-access annotation; use simulate() on a materialised trace"
+        )
+    feed = getattr(core, "process_chunk", None)
+    if feed is None:
+        replay_columns = core.replay_columns
+
+        def feed(keys, sizes, out=None):
+            replay_columns(keys.tolist(), sizes.tolist(), out)
+
+    return core, feed
 
 
 def iter_source_chunks(
@@ -1004,12 +1015,12 @@ def batch_replay(
     chunk_size: int = 1 << 20,
     out: Optional[list] = None,
 ):
-    """Replay a source through a batch core; returns the finished core
-    (stats, resident set).  The decision-stream ``out`` matches
-    :meth:`CachePolicy.replay` bit for bit."""
-    core = make_batch_policy(policy, cache_bytes) if isinstance(policy, str) else policy
-    for times, keys, sizes in iter_source_chunks(source, chunk_size):
-        core.process_chunk(times, keys, _as_int64_sizes(sizes), out)
+    """Replay a source through ``policy`` chunk by chunk; returns the
+    finished core or policy (stats, resident set).  The decision-stream
+    ``out`` matches :meth:`CachePolicy.replay` bit for bit."""
+    core, feed = _resolve(policy, cache_bytes)
+    for _times, keys, sizes in iter_source_chunks(source, chunk_size):
+        feed(np.asarray(keys), _as_int64_sizes(sizes), out)
     return core
 
 
@@ -1021,23 +1032,21 @@ def simulate_batch(
     chunk_size: int = 1 << 20,
     trace_name: Optional[str] = None,
 ) -> SimResult:
-    """Batch-engine counterpart of :func:`repro.sim.engine.simulate`.
+    """File-streaming counterpart of :func:`repro.sim.engine.simulate`.
 
-    Streams ``source`` through the named policy's batch core and returns
-    the same :class:`SimResult` shape as the rich engine (aggregate
-    metrics from stats deltas at the warm-up boundary, wall-clock TPS over
-    the whole replay).  Memory stays bounded by chunk size + resident set
-    regardless of trace length.
+    Streams ``source`` through the named policy (any registry name; see
+    :func:`make_batch_policy`) and returns the same :class:`SimResult`
+    shape as the rich engine (aggregate metrics from stats deltas at the
+    warm-up boundary, wall-clock TPS over the whole replay).  Memory stays
+    bounded by chunk size + resident set regardless of trace length.
     """
     from repro.obs.metrics import MetricsRegistry
 
-    core = make_batch_policy(policy, cache_bytes) if isinstance(policy, str) else policy
-    name = trace_name or _source_name(source)
-    st = core.stats
+    core, feed = _resolve(policy, cache_bytes)
     seen = 0
-    snap = (0, 0, 0, 0)
-    # Batch cores never see individual requests, so per-event probes are
-    # impossible by design — instead each chunk boundary folds the stats
+    mark = stats_mark(core.stats)
+    # The bulk entries never see individual requests, so per-event probes
+    # are impossible by design — instead each chunk boundary folds the stats
     # *delta* into aggregate registry counters (the same instrument names
     # the rich engine's RegistryRecorder maintains, minus per-event detail).
     registry = MetricsRegistry()
@@ -1050,19 +1059,21 @@ def simulate_batch(
     prev = (0, 0, 0, 0, 0)  # requests, hits, evictions, compactions, spills
     t_cpu0 = time.process_time()
     t0 = time.perf_counter()
-    for times, keys, sizes in iter_source_chunks(source, chunk_size):
+    for _times, keys, sizes in iter_source_chunks(source, chunk_size):
+        keys = np.asarray(keys)
         sizes = _as_int64_sizes(sizes)
         n = len(keys)
-        if seen < warmup and seen + n > warmup:
-            cut = warmup - seen
-            core.process_chunk(times[:cut], keys[:cut], sizes[:cut])
-            snap = (st.hits, st.misses, st.bytes_hit, st.bytes_missed)
-            core.process_chunk(times[cut:], keys[cut:], sizes[cut:])
+        cut = warmup - seen
+        if 0 < cut < n:
+            feed(keys[:cut], sizes[:cut])
+            mark = stats_mark(core.stats)
+            feed(keys[cut:], sizes[cut:])
         else:
-            core.process_chunk(times, keys, sizes)
-            if seen + n == warmup:
-                snap = (st.hits, st.misses, st.bytes_hit, st.bytes_missed)
+            feed(keys, sizes)
         seen += n
+        st = core.stats
+        if seen <= warmup:  # still warming up, or the boundary is this chunk's end
+            mark = stats_mark(st)
         cur = (
             st.requests,
             st.hits,
@@ -1079,29 +1090,9 @@ def simulate_batch(
         prev = cur
     elapsed = time.perf_counter() - t0
     cpu = time.process_time() - t_cpu0
-    if warmup > 0 and seen <= warmup:
-        snap = (st.hits, st.misses, st.bytes_hit, st.bytes_missed)
-
-    h0, m0, bh0, bm0 = snap
-    metrics = MetricsCollector(warmup=warmup)
-    metrics._seen = seen
-    metrics.hits = st.hits - h0
-    metrics.misses = st.misses - m0
-    metrics.requests = metrics.hits + metrics.misses
-    metrics.bytes_missed = st.bytes_missed - bm0
-    metrics.bytes_requested = (st.bytes_hit - bh0) + metrics.bytes_missed
-    return SimResult(
-        policy=core.name,
-        trace=name,
-        cache_bytes=core.capacity,
-        requests=seen,
-        miss_ratio=metrics.miss_ratio,
-        byte_miss_ratio=metrics.byte_miss_ratio,
-        tps=seen / elapsed if elapsed > 0 else float("inf"),
-        cpu_seconds=cpu,
-        metadata_bytes=core.metadata_bytes(),
-        peak_alloc_bytes=0,
-        metrics=metrics,
-        policy_obj=core,
-        obs={"registry": registry.snapshot(), "chunks": int(c_chunks.value)},
+    metrics = MetricsCollector.from_stats(core.stats, mark, seen, warmup)
+    result = SimResult.from_run(
+        core, trace_name or _source_name(source), seen, metrics, elapsed, cpu
     )
+    result.obs = {"registry": registry.snapshot(), "chunks": int(c_chunks.value)}
+    return result

@@ -9,17 +9,20 @@ Two replay paths share one result type:
 * the **fast path** (default) drives the policy's bulk :meth:`~repro.cache.
   base.CachePolicy.replay` loop — no per-request callback, no per-request
   allocation; aggregate metrics come from ``policy.stats`` deltas taken at
-  the warm-up boundary and at the end, then folded into a
-  :class:`MetricsCollector` so downstream consumers see the same shape;
+  the warm-up boundary and at the end
+  (:meth:`MetricsCollector.from_stats`, which the file-streaming driver
+  :func:`repro.sim.batch.simulate_batch` shares), so downstream consumers
+  see the same shape;
 * the **rich path** keeps the original per-request ``record(request(req))``
   loop, and is selected whenever interval series or ``tracemalloc`` memory
   metering are requested (the Figure 9/11 resource benches) or forced with
   ``fast=False``.
 
 Both paths produce bit-identical hit/miss decisions and aggregate metrics —
-``tests/sim/test_golden_traces.py`` pins this.  Policies that need future
-knowledge (Belady) require an annotated trace; the engine checks and
-annotates on demand.
+``tests/sim/test_golden_traces.py`` pins this.  A policy that reads the
+future says so (:attr:`CachePolicy.needs_future
+<repro.cache.base.CachePolicy.needs_future>`: the Belady oracles) and gets
+an annotated trace; the engine checks and annotates on demand.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.obs.config import ObsConfig
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.sim.metrics import MetricsCollector
+from repro.sim.metrics import MetricsCollector, stats_mark
 from repro.sim.request import Trace, annotate_next_access
 
 if TYPE_CHECKING:  # avoid a circular import: cache.base uses sim.request
@@ -64,6 +67,34 @@ class SimResult:
     #: observability payload (registry snapshot + stream bookkeeping) when
     #: the run was traced via ``simulate(..., obs=ObsConfig(...))``.
     obs: Optional[dict] = field(repr=False, default=None)
+
+    @classmethod
+    def from_run(
+        cls,
+        policy: "CachePolicy",
+        trace_name: str,
+        requests: int,
+        metrics: MetricsCollector,
+        elapsed: float,
+        cpu: float,
+        peak: int = 0,
+    ) -> "SimResult":
+        """The record of ``requests`` replayed through ``policy`` in
+        ``elapsed`` wall / ``cpu`` process seconds."""
+        return cls(
+            policy=policy.name,
+            trace=trace_name,
+            cache_bytes=policy.capacity,
+            requests=requests,
+            miss_ratio=metrics.miss_ratio,
+            byte_miss_ratio=metrics.byte_miss_ratio,
+            tps=requests / elapsed if elapsed > 0 else float("inf"),
+            cpu_seconds=cpu,
+            metadata_bytes=policy.metadata_bytes(),
+            peak_alloc_bytes=peak,
+            metrics=metrics,
+            policy_obj=policy,
+        )
 
     def as_dict(self) -> dict:
         out = {
@@ -107,8 +138,10 @@ def simulate(
         Enable ``tracemalloc`` peak tracking (slows the run ~2×; used only
         by the Figure 9/11 benches; forces the rich path).
     needs_future:
-        Force (or skip) next-access annotation.  Default: annotate when the
-        policy is an oracle (name contains "Belady") or LRB-like.
+        Force (or skip) next-access annotation.  Default: what the policy
+        declares (:attr:`CachePolicy.needs_future
+        <repro.cache.base.CachePolicy.needs_future>` — the two Belady
+        oracles).
     fast:
         Force the slim bulk-replay loop (``True``) or the per-request rich
         loop (``False``).  Default ``None`` picks fast whenever no interval
@@ -137,7 +170,7 @@ def simulate(
             "fast=False for the rich path)"
         )
     if needs_future is None:
-        needs_future = "belady" in policy.name.lower() or "lrb" in policy.name.lower()
+        needs_future = policy.needs_future
     if needs_future and not trace.annotated:
         annotate_next_access(trace)
     if fast is None:
@@ -171,31 +204,6 @@ def simulate(
     return result
 
 
-def _finish(
-    policy: "CachePolicy",
-    trace: Trace,
-    metrics: MetricsCollector,
-    elapsed: float,
-    cpu: float,
-    peak: int,
-) -> SimResult:
-    """Assemble the shared result record."""
-    return SimResult(
-        policy=policy.name,
-        trace=trace.name,
-        cache_bytes=policy.capacity,
-        requests=len(trace),
-        miss_ratio=metrics.miss_ratio,
-        byte_miss_ratio=metrics.byte_miss_ratio,
-        tps=len(trace) / elapsed if elapsed > 0 else float("inf"),
-        cpu_seconds=cpu,
-        metadata_bytes=policy.metadata_bytes(),
-        peak_alloc_bytes=peak,
-        metrics=metrics,
-        policy_obj=policy,
-    )
-
-
 def _simulate_fast(policy: "CachePolicy", trace: Trace, warmup: int) -> SimResult:
     """Slim inner loop: bulk replay, metrics from stats deltas.
 
@@ -206,25 +214,16 @@ def _simulate_fast(policy: "CachePolicy", trace: Trace, warmup: int) -> SimResul
     :meth:`MetricsCollector.record` with ``warmup`` set.
     """
     requests = trace.requests if isinstance(trace, Trace) else list(trace)
-    st = policy.stats
     t_cpu0 = time.process_time()
     t0 = time.perf_counter()
     if warmup > 0:
         policy.replay(requests[:warmup])
-    h0, m0 = st.hits, st.misses
-    bh0, bm0 = st.bytes_hit, st.bytes_missed
+    mark = stats_mark(policy.stats)
     policy.replay(requests[warmup:] if warmup > 0 else requests)
     elapsed = time.perf_counter() - t0
     cpu = time.process_time() - t_cpu0
-
-    metrics = MetricsCollector(warmup=warmup)
-    metrics._seen = len(requests)
-    metrics.hits = st.hits - h0
-    metrics.misses = st.misses - m0
-    metrics.requests = metrics.hits + metrics.misses
-    metrics.bytes_missed = st.bytes_missed - bm0
-    metrics.bytes_requested = (st.bytes_hit - bh0) + metrics.bytes_missed
-    return _finish(policy, trace, metrics, elapsed, cpu, peak=0)
+    metrics = MetricsCollector.from_stats(policy.stats, mark, len(requests), warmup)
+    return SimResult.from_run(policy, trace.name, len(requests), metrics, elapsed, cpu)
 
 
 def _simulate_rich(
@@ -251,4 +250,4 @@ def _simulate_rich(
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     metrics.flush()
-    return _finish(policy, trace, metrics, elapsed, cpu, peak)
+    return SimResult.from_run(policy, trace.name, len(trace), metrics, elapsed, cpu, peak)

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-__all__ = ["MetricsCollector", "IntervalPoint"]
+__all__ = ["MetricsCollector", "IntervalPoint", "stats_mark"]
+
+
+def stats_mark(stats) -> tuple:
+    """The four :class:`~repro.cache.base.CacheStats` counters the
+    aggregates are deltas of, as taken at the warm-up boundary."""
+    return (stats.hits, stats.misses, stats.bytes_hit, stats.bytes_missed)
 
 
 class IntervalPoint:
@@ -75,6 +81,25 @@ class MetricsCollector:
         self._seen = 0
         self.series: List[IntervalPoint] = []
         self._current: Optional[IntervalPoint] = None
+
+    @classmethod
+    def from_stats(cls, stats, since: tuple, seen: int, warmup: int = 0) -> "MetricsCollector":
+        """The collector a bulk replay of ``seen`` requests would have filled.
+
+        Bulk loops have no per-request callback; the policy's own counters
+        are the record.  ``stats`` is their state at the end of the run and
+        ``since`` their :func:`stats_mark` at the warm-up boundary, so the
+        aggregates cover exactly the post-warm-up requests — the contract
+        of :meth:`record` with ``warmup`` set.
+        """
+        metrics = cls(warmup=warmup)
+        metrics._seen = seen
+        metrics.hits, metrics.misses, bytes_hit, metrics.bytes_missed = (
+            now - then for now, then in zip(stats_mark(stats), since)
+        )
+        metrics.requests = metrics.hits + metrics.misses
+        metrics.bytes_requested = bytes_hit + metrics.bytes_missed
+        return metrics
 
     def record(self, size: int, hit: bool) -> None:
         """Record one request outcome."""

@@ -135,7 +135,7 @@ def _run_mrc_cell(cell: MrcCell) -> dict:
         "misses": st.misses,
         "bypasses": st.bypasses,
         "evictions": st.evictions,
-        "spilled": core.spilled,
+        "spilled": getattr(core, "spilled", False),
     }
 
 
@@ -149,23 +149,21 @@ def mrc_sweep(
 ) -> List[dict]:
     """Trace-parallel miss-ratio curve over one binary trace file.
 
-    Each cache size is an independent batch replay, so the sweep fans the
-    *same* ``.bin`` file out over a process pool — workers mmap it
-    independently and share its pages through the OS cache, so a
-    paper-scale trace is read from disk once, not once per point.
+    Each cache size is an independent :func:`~repro.sim.batch.batch_replay`
+    (any registry policy it accepts), so the sweep fans the *same* ``.bin``
+    file out over a process pool — workers mmap it independently and share
+    its pages through the OS cache, so a paper-scale trace is read from
+    disk once, not once per point.
 
     ``fractions`` are of the header's working-set estimate (the Figure 1
     x-axis); pass explicit ``cache_sizes`` (bytes) to bypass the estimate.
     Rows come back sorted by ``cache_bytes``, each tagged with
     ``cache_fraction`` when derived from a fraction.
     """
-    from repro.sim.batch import BATCH_POLICIES, batch_supported
+    from repro.sim.batch import _resolve
     from repro.traces.binfmt import BinTraceReader
 
-    if not batch_supported(policy):
-        raise KeyError(
-            f"policy {policy!r} has no batch core; batch-capable: {sorted(BATCH_POLICIES)}"
-        )
+    _resolve(policy, 1)  # an unknown name or an oracle fails here, once, not in every worker
     path = str(path)
     if cache_sizes is None:
         with BinTraceReader(path) as reader:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.cache.base import CachePolicy, QueueCache
+from repro.cache.base import CachePolicy
 from repro.sim.request import Request
 
 __all__ = ["StorageNode"]
@@ -57,18 +57,19 @@ class StorageNode:
     def swap_policy(self, factory: Callable[[int], CachePolicy]) -> None:
         """Hot-swap the cache policy, migrating resident objects.
 
-        Mirrors the TDC deployment: the resident set is preserved (walked
+        Mirrors the TDC deployment: the resident set is preserved (exported
         LRU → MRU so recency order is reconstructed in the new policy);
-        only the placement logic changes.  Works for queue-structured
-        policies; others restart cold, which is also what a production
+        only the placement logic changes.  The same ``export_residents`` /
+        ``import_resident`` protocol as
+        :meth:`repro.serve.shard.CacheShard.swap`: queue-structured policies
+        and tenant partitions migrate; a policy that exports nothing or
+        takes no imports restarts cold, which is also what a production
         rollout without state migration would do.
         """
         old = self.policy
         new = factory(old.capacity)
-        if isinstance(old, QueueCache) and isinstance(new, QueueCache):
-            clock = old.clock
-            for node in old.queue.iter_lru():
-                new._miss(Request(clock, node.key, node.size))
+        for key, size in old.export_residents():
+            new.import_resident(key, size)
         self.policy = new
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

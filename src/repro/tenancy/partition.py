@@ -20,7 +20,8 @@ tag.  ``req.tenant`` is carried for observability; the key decides.
 
 The composite plays the whole duck-typed policy protocol: ``request``,
 ``contains``, ``remove``, ``export_residents`` / ``import_resident``
-(live swap + warm handoff migrate every tenant's residents), and
+(live swap + warm handoff migrate every tenant's residents), ``admit``
+(replication fills land in the owner's partition), and
 aggregates ``stats`` / ``used`` across inners, so it drops into a
 :class:`~repro.serve.shard.CacheShard` or :class:`~repro.tdc.node.
 StorageNode` like any single-tenant policy.
@@ -123,32 +124,14 @@ class TenantPartitionedCache(CachePolicy):
         self.clock += 1
         return self.inners[self.tenant_of(req.key)].request(req)
 
-    def replay(self, requests, out: Optional[list] = None) -> None:
-        request = self.request
-        if out is None:
-            for req in requests:
-                request(req)
-        else:
-            append = out.append
-            for req in requests:
-                append(request(req))
-
     def _lookup(self, key) -> bool:
         return self.inners[self.tenant_of(key)]._lookup(key)
 
     def _hit(self, req: Request) -> None:  # pragma: no cover - request() routes
         self.inners[self.tenant_of(req.key)]._hit(req)
 
-    def _miss(self, req: Request) -> None:
-        """Admit into the owner's partition (the replication-fill path).
-
-        Guards the per-tenant size check the inner's ``request`` template
-        would normally apply: an object larger than its tenant's quota is
-        skipped, never force-fitted by draining the partition.
-        """
-        inner = self.inners[self.tenant_of(req.key)]
-        if req.size <= inner.capacity:
-            inner._miss(req)
+    def _miss(self, req: Request) -> None:  # pragma: no cover - request() routes
+        self.inners[self.tenant_of(req.key)]._miss(req)
 
     def contains(self, key) -> bool:
         return self.inners[self.tenant_of(key)].contains(key)
@@ -163,8 +146,12 @@ class TenantPartitionedCache(CachePolicy):
             yield from inner.export_residents()
 
     def import_resident(self, key, size: int) -> bool:
-        inner = self.inners[self.tenant_of(key)]
-        return inner.import_resident(key, size)
+        return self.inners[self.tenant_of(key)].import_resident(key, size)
+
+    def admit(self, key, size: int) -> bool:
+        """Admit into the owner's partition; an object larger than its
+        tenant's quota is refused, never force-fitted by draining it."""
+        return self.inners[self.tenant_of(key)].admit(key, size)
 
     # -- quotas ----------------------------------------------------------------
     def quotas(self) -> Dict[int, int]:

@@ -32,7 +32,7 @@ def _router(n_nodes=3, replication=2, probe=None, **kwargs):
     config = ClusterConfig(
         n_nodes=n_nodes,
         replication=replication,
-        policy="LRU",
+        policy=kwargs.pop("policy", "LRU"),
         capacity_bytes=kwargs.pop("capacity_bytes", 300_000),
         retry_timeout=None,
         **kwargs,
@@ -228,6 +228,27 @@ class TestReplicationFill:
 
         fills = asyncio.run(run())
         assert fills[1] == 0 and fills[2] > 0
+
+    @pytest.mark.parametrize("policy", ["SIEVE", "ARC", "GDSF"])
+    def test_non_queue_policy_replicas_are_filled(self, policy):
+        """A fill is an admit, not a migration: policies that take no
+        ``import_resident`` still warm their replicas, so the failover read
+        after the primary dies is a hit."""
+
+        async def run():
+            router = _router(policy=policy)
+            async with router:
+                key = _key_owned_by(router, "n0")
+                primary, replica = router.owners_for(key)[:2]
+                await router.get(Request(0, key, 1000))
+                fills = router.stats()["fills"]
+                await router.kill_node(primary)
+                second = await router.get(Request(1, key, 1000))
+            return fills, second, replica
+
+        fills, second, replica = asyncio.run(run())
+        assert fills == 1
+        assert second.hit and second.node == replica and second.failover
 
 
 class TestConstruction:

@@ -12,14 +12,15 @@ import asyncio
 
 import pytest
 
+from repro.cache import available_policies, make_policy
 from repro.cache.lru import LRUCache
 from repro.serve import CacheService, OriginConfig, SimulatedOrigin
 from repro.sim.request import Request
 
 
-def _service(capacity=100_000, n_shards=2):
+def _service(capacity=100_000, n_shards=2, factory=LRUCache):
     return CacheService(
-        LRUCache,
+        factory,
         capacity,
         n_shards=n_shards,
         origin=SimulatedOrigin(OriginConfig(latency_mean=0.0)),
@@ -38,6 +39,29 @@ class TestFill:
         first, second, resident = asyncio.run(run())
         assert first is True and second is False
         assert resident == [(1, 1000)]
+
+    # Every policy runs its miss path on a fill; these three may decline
+    # there (AdaptSize's admission coin, an oracle with no annotated future).
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in available_policies() if n not in ("AdaptSize", "Belady", "Belady-Size")],
+    )
+    def test_fill_admits_on_every_registry_policy(self, name):
+        """Fill is not the opt-in migration protocol: policies that refuse
+        ``import_resident`` (CLOCK, SIEVE, ARC, GDSF, ...) still take fills."""
+
+        async def run():
+            factory = lambda cap: make_policy(name, cap)  # noqa: E731
+            async with _service(factory=factory, n_shards=1) as service:
+                first = await service.fill(Request(0, 1, 1000))
+                second = await service.fill(Request(0, 1, 1000))
+                policy = service.shards[0].policy
+                return first, second, policy.contains(1), policy.stats.requests, service
+
+        first, second, resident, requests, service = asyncio.run(run())
+        assert first is True and second is False
+        assert resident and requests == 0
+        assert service.unhandled_exceptions == 0
 
     def test_fill_does_not_touch_stats(self):
         async def run():

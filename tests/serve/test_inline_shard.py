@@ -106,16 +106,18 @@ class TestDecisionInTheCaller:
         assert service.unhandled_exceptions == 0
 
     def test_swap_falls_between_two_submit_batches(self):
-        """Decided at the call: the batch before the swap is the old
-        policy's, the batch after it the new one's."""
+        """Decided where ``get`` first runs: the batch started before the
+        swap is the old policy's, the batch after it the new one's."""
 
         async def run():
             async with _service() as service:
                 shard = service.shards[0]
                 old = shard.policy
-                before = [shard.submit(Request(i, i, 100)) for i in range(5)]
-                new = await shard.request_swap(SCIPCache)
-                after = [shard.submit(Request(5 + i, i, 100)) for i in range(5)]
+                before = [asyncio.ensure_future(shard.get(Request(i, i, 100))) for i in range(5)]
+                await _settle(1)  # each has decided and leads its fetch
+                assert old.stats.misses == 5
+                new = shard.swap(SCIPCache)
+                after = [asyncio.ensure_future(shard.get(Request(5 + i, i, 100))) for i in range(5)]
                 outs = await asyncio.gather(*before, *after)
                 assert shard.unanswered == 0
             return old, new, outs

@@ -161,19 +161,18 @@ class TestInFlightFetches:
         assert service.unhandled_exceptions == 0
 
     def test_swap_queued_behind_pending_requests(self):
-        """The control message travels the data queue: requests submitted
-        before the swap are served by the old policy, requests after by the
-        new one."""
+        """A swap runs between decisions: requests decided before it are
+        served by the old policy even while their fetches are still open,
+        and migration carries what they admitted into the new one."""
 
         async def run():
-            service = _service(latency=0.0)
+            service = _service(latency=0.005)
             async with service:
                 shard = service.shards[0]
-                # Submit directly (no await): these sit in the queue ahead
-                # of the swap control message.
-                before = [shard.submit(Request(i, i, 100)) for i in range(5)]
-                swap = asyncio.ensure_future(shard.request_swap(SCIPCache))
-                new_policy = await swap
+                before = [asyncio.ensure_future(shard.get(Request(i, i, 100))) for i in range(5)]
+                await asyncio.sleep(0)  # each decides and starts its fetch
+                assert shard.unanswered == 5
+                new_policy = shard.swap(SCIPCache)
                 outs = await asyncio.gather(*before)
                 # The old policy served (and admitted) all five; migration
                 # carried them into the new one.

@@ -1,13 +1,13 @@
-"""Bit-exactness harness: the array-backed batch engine vs the rich engine.
+"""Bit-exactness harness: the chunk-streaming driver vs the rich engine.
 
-The batch cores in :mod:`repro.sim.batch` are an independent
+The dedicated cores in :mod:`repro.sim.batch` are an independent
 reimplementation of LRU/FIFO/CLOCK/SIEVE over structure-of-arrays chunks,
-plus SCIP's inlined column loop over the policy's own state; nothing about
-them is allowed to be "approximately" right.  The oracle is the rich
-policy driven one ``request()`` call at a time — never ``replay``, which
-for LRU and SCIP is itself an inlined loop.  For every batch-supported
-policy this harness replays the same trace through both and asserts
-**identical**:
+plus SCIP's inlined column loop over the policy's own state (its row holds
+the registry ``SCIPCache``); nothing about them is allowed to be
+"approximately" right.  The oracle is the rich policy driven one
+``request()`` call at a time — never ``replay``, which for LRU and SCIP is
+itself an inlined loop.  For every policy with a dedicated core this
+harness replays the same trace through both and asserts **identical**:
 
 * per-request hit/miss decision streams,
 * aggregate stats (hits, misses, evictions, bypasses, byte counters),
@@ -23,7 +23,8 @@ across golden CDN workloads and seeded random traces (including
 inconsistent-size traces that force the LRU/FIFO spill-to-rich fallback
 and that SCIP replays natively), at multiple cache sizes, and — the
 batch-specific axis — at multiple chunk sizes, which must not change a
-single decision.
+single decision.  :class:`TestEveryPolicyStreams` then holds the driver to
+the same standard for every name in the registry, dedicated core or not.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import pytest
 from repro.cache.clock import ClockCache
 from repro.cache.fifo import FIFOCache
 from repro.cache.lru import LRUCache
+from repro.cache.registry import available_policies, make_policy
 from repro.cache.sieve import SieveCache
 from repro.core.enhance import SCIPLRUK
 from repro.core.sci import SCICache
@@ -48,7 +50,8 @@ from repro.sim.batch import (
     simulate_batch,
 )
 from repro.sim.engine import simulate
-from repro.sim.request import Trace, requests_from_arrays
+from repro.sim.metrics import MetricsCollector
+from repro.sim.request import requests_from_arrays
 from repro.traces.cdn import make_workload
 from tests.sim.test_golden_traces import GOLDEN as GOLDEN_SHA
 from tests.sim.test_golden_traces import _hit_seq_sha256
@@ -121,9 +124,13 @@ def assert_same_end_state(name, rich, batch):
 
 
 def replay_chunks(core, keys, sizes, chunk, out):
-    for lo in range(0, len(keys), chunk):
-        hi = min(lo + chunk, len(keys))
-        core.process_chunk(np.arange(lo, hi, dtype=np.int64), keys[lo:hi], sizes[lo:hi], out)
+    """Feed ``core`` the columns ``chunk`` requests at a time, as the driver
+    does for an array core and a registry policy alike."""
+    chunks = (
+        (None, keys[lo : lo + chunk], sizes[lo : lo + chunk])  # no entry reads the times
+        for lo in range(0, len(keys), chunk)
+    )
+    batch_replay(core, chunks, core.capacity, out=out)
 
 
 def assert_equivalent(name, keys, sizes, cap, chunk):
@@ -225,8 +232,8 @@ class TestRandomTraces:
             # must answer violations by spilling to the rich policy; the
             # ring cores and SCIP replay per-request and need no fallback.
             assert core.spilled, "inconsistent sizes must trip the rich fallback"
-        elif name == "SCIP":
-            assert not core.spilled
+        else:
+            assert not getattr(core, "spilled", False)
 
     @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
     def test_empty_and_single_request(self, name):
@@ -287,6 +294,7 @@ class TestSimulateBatch:
         assert batch_supported("SCIP")
         assert not batch_supported("ARC")
         assert set(BATCH_POLICIES) == {"LRU", "FIFO", "CLOCK", "SIEVE", "SCIP"}
+        assert BATCH_POLICIES["SCIP"] is SCIPCache
 
     @pytest.mark.parametrize("warmup", [0, 1_500, 2_000, 2_001, 6_000, 6_005])
     def test_scip_warmup_inside_at_and_past_a_chunk_boundary(self, tmp_path, warmup):
@@ -312,7 +320,6 @@ class TestSimulateBatch:
 
 
     def test_scip_mrc_sweep_equals_per_size_rich_replays(self, tmp_path):
-        from repro.cache.registry import make_policy
         from repro.sim.parallel import mrc_sweep
         from repro.traces.binfmt import read_bin, write_bin
 
@@ -328,6 +335,76 @@ class TestSimulateBatch:
                 st.hits, st.misses, st.evictions
             ), row["cache_fraction"]
             assert not row["spilled"]
+
+
+_ORACLES = ("Belady", "Belady-Size")
+
+
+class TestEveryPolicyStreams:
+    """``simulate_batch(name, path, cap)`` == ``simulate(make_policy(name,
+    cap), read_bin(path))`` for every registry name: the decision stream,
+    the policy's counters and the result's ratios, whatever the chunking
+    and wherever the warm-up boundary falls in it."""
+
+    N = 20_000
+
+    @pytest.fixture(scope="class")
+    def streamed(self, tmp_path_factory):
+        from repro.traces.binfmt import read_bin, write_bin
+
+        path = str(tmp_path_factory.mktemp("stream") / "t.bin")
+        write_bin(make_workload("CDN-T", n_requests=self.N, seed=11), path)
+        trace = read_bin(path)
+        return path, trace, max(int(trace.working_set_size * 0.05), 1)
+
+    @pytest.mark.parametrize("name", [n for n in available_policies() if n not in _ORACLES])
+    def test_stream_equals_materialise(self, streamed, name):
+        path, trace, cap = streamed
+        ref = make_policy(name, cap)
+        want = [ref.request(req) for req in trace.requests]
+        for chunk in (1_000, 1 << 20):
+            got: list = []
+            core = batch_replay(name, path, cap, chunk_size=chunk, out=got)
+            assert got == want, f"{name}: decisions differ at chunk={chunk}"
+            for field in _STAT_FIELDS:
+                assert getattr(core.stats, field) == getattr(ref.stats, field), (name, field)
+        # warm-up inside a chunk, at a chunk boundary, past the end: the
+        # collector's own per-request contract over the oracle's decisions
+        for warmup in (2_500, 3_000, len(trace) + 5):
+            expect = MetricsCollector(warmup=warmup)
+            for req, hit in zip(trace.requests, want):
+                expect.record(req.size, hit)
+            batch = simulate_batch(name, path, cap, warmup=warmup, chunk_size=1_000)
+            assert batch.requests == len(trace)
+            assert batch.metrics.as_dict() == expect.as_dict(), (name, warmup)
+            assert batch.metrics.bytes_missed == expect.bytes_missed
+            assert batch.metrics.bytes_requested == expect.bytes_requested
+        rich = simulate(make_policy(name, cap), trace, warmup=2_500)
+        batch = simulate_batch(name, path, cap, warmup=2_500, chunk_size=1_000)
+        for field in ("policy", "cache_bytes", "requests", "miss_ratio", "byte_miss_ratio",
+                      "metadata_bytes"):
+            assert getattr(batch, field) == getattr(rich, field), (name, field)
+
+    @pytest.mark.parametrize("name", _ORACLES)
+    def test_an_oracle_is_refused_with_the_reason(self, streamed, name):
+        path, _trace, cap = streamed
+        with pytest.raises(ValueError, match="reads the future"):
+            simulate_batch(name, path, cap)
+        with pytest.raises(ValueError, match="needs_future"):
+            batch_replay(name, path, cap)
+
+    def test_mrc_sweep_refuses_before_any_worker_starts(self, streamed, monkeypatch):
+        from repro.sim import parallel
+
+        def no_pool(*_a, **_k):  # pragma: no cover - the point is it never runs
+            raise AssertionError("pool spawned for a name that cannot replay")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(parallel, "_run_mrc_cell", no_pool)
+        with pytest.raises(KeyError, match="unknown policy"):
+            parallel.mrc_sweep(streamed[0], "NOPE", max_workers=2)
+        with pytest.raises(ValueError, match="reads the future"):
+            parallel.mrc_sweep(streamed[0], "Belady", max_workers=2)
 
 
 class TestScipLoop:

@@ -72,6 +72,23 @@ class TestEngine:
         simulate(BeladyCache(10_000), zipf_trace)
         assert zipf_trace.annotated
 
+    def test_future_knowledge_is_declared_not_guessed_from_the_name(self, zipf_trace):
+        """LRB learns from the past only and a name is not a declaration:
+        neither gets the O(n) annotation pass, and LRB decides the same
+        with and without it."""
+        from repro.cache.registry import make_policy
+
+        class BeladyInNameOnly(LRUCache):
+            name = "LRU-vs-Belady"
+
+        simulate(BeladyInNameOnly(20_000), zipf_trace)
+        plain = simulate(make_policy("LRB", 20_000), zipf_trace)
+        assert not zipf_trace.annotated
+        forced = simulate(make_policy("LRB", 20_000), zipf_trace, needs_future=True)
+        assert zipf_trace.annotated
+        assert plain.metrics.as_dict() == forced.metrics.as_dict()
+        assert plain.byte_miss_ratio == forced.byte_miss_ratio
+
     def test_memory_measurement(self, tiny_trace):
         res = simulate(LRUCache(1_000), tiny_trace, measure_memory=True)
         assert res.peak_alloc_bytes > 0

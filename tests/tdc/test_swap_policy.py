@@ -8,6 +8,7 @@ byte accounting intact — no cold restart, no phantom evictions.
 from __future__ import annotations
 
 from repro.cache.fifo import FIFOCache
+from repro.cache.gdsf import GDSFCache
 from repro.cache.lru import LRUCache
 from repro.core.scip import SCIPCache
 from repro.sim.request import Request
@@ -62,21 +63,9 @@ class TestSwapPolicy:
         assert node.policy.stats.evictions == 0
 
     def test_swap_to_non_queue_policy_restarts_cold(self):
-        class DictCache:
-            """Minimal non-QueueCache stand-in."""
-
-            name = "dict"
-
-            def __init__(self, capacity):
-                self.capacity = capacity
-                self.store = {}
-
-            def __len__(self):
-                return len(self.store)
-
         node = _warm_node()
-        node.swap_policy(DictCache)
-        assert isinstance(node.policy, DictCache)
+        node.swap_policy(GDSFCache)  # priority structure: takes no imports
+        assert isinstance(node.policy, GDSFCache)
         assert len(node.policy) == 0  # no state migration possible → cold
 
     def test_swap_preserves_eviction_order_under_pressure(self):

@@ -31,8 +31,10 @@ class TestCLI:
                    "--fraction", "0.5"])
         assert rc == 0
 
-    @pytest.mark.parametrize("policy", ["LRU", "SCIP"])
+    @pytest.mark.parametrize("policy", ["LRU", "SCIP", "ARC"])
     def test_simulate_bin_file_dispatches_to_the_batch_core(self, tmp_path, capsys, policy):
+        """A .bin streams for every policy, dedicated core (LRU, SCIP) or not
+        (ARC); an obs flag materialises it; the ratios are the same."""
         from repro.traces.binfmt import write_bin
         from repro.traces.cdn import make_workload
 
@@ -45,21 +47,24 @@ class TestCLI:
             line = capsys.readouterr().out.splitlines()[0]
             return "[batch]" in line, [w for w in line.split() if "miss_ratio=" in w]
 
-        plain, flagged, rich = ratios([]), ratios(["--batch"]), ratios(["--obs-summary"])
-        assert plain[0] and flagged[0] and not rich[0]  # an obs flag keeps the rich engine
-        assert plain[1] == flagged[1] == rich[1] and len(plain[1]) == 2
+        plain, rich = ratios([]), ratios(["--obs-summary"])
+        assert plain[0] and not rich[0]  # an obs flag keeps the rich engine
+        assert plain[1] == rich[1] and len(plain[1]) == 2
 
-    def test_simulate_batch_flag_still_insists(self, tmp_path, capsys):
+    def test_simulate_bin_file_materialises_for_an_oracle(self, tmp_path, capsys):
         from repro.traces.binfmt import write_bin
         from repro.traces.cdn import make_workload
 
         path = tmp_path / "t.bin"
         write_bin(make_workload("CDN-T", n_requests=2_000, seed=2), path)
-        args = ["simulate", "--policy", "ARC", "--trace-file", str(path)]
-        assert main(args + ["--batch"]) == 2
-        assert "no batch core" in capsys.readouterr().out
-        assert main(args) == 0  # no batch core: materialise and replay
+        assert main(["simulate", "--policy", "Belady", "--trace-file", str(path)]) == 0
         assert "[batch]" not in capsys.readouterr().out
+
+    def test_simulate_batch_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--policy", "LRU", "-n", "1000", "--batch"])
+        assert exc.value.code == 2
+        assert "--batch" in capsys.readouterr().err
 
     def test_workload_generate_and_save(self, tmp_path, capsys):
         out_file = tmp_path / "w.tr"
