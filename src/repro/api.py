@@ -20,8 +20,8 @@ The facade spans the five subsystems grown around the paper reproduction:
   :func:`workload_to_bin`), and the streaming replay driver
   (:func:`simulate_batch`, :func:`batch_replay`, :func:`mrc_sweep`) that
   replays ``.bin`` files chunk-at-a-time through any registry policy,
-  bit-exact with :func:`simulate` (:func:`batch_supported`: the names
-  with a dedicated, faster core);
+  bit-exact with :func:`simulate` (:func:`batch_supported`: the two names
+  with a dedicated core, LRU and SCIP);
 * **serving** — :class:`CacheService`, the concurrent asyncio cache with
   sharded single-owner policies, and its :class:`SimulatedOrigin` /
   :class:`OriginConfig` / :class:`RetryPolicy` knobs;

@@ -97,7 +97,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             trace = make_workload(args.workload, n_requests=args.requests)
     except (TraceFormatError, ValueError, OSError) as exc:
-        print(f"cannot read trace: {exc}")
+        print(f"cannot read trace: {exc}" if args.trace_file else exc)
         return 2
     if wss is None:
         wss = trace.working_set_size
@@ -324,7 +324,11 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     from repro.traces.cdn import make_workload
     from repro.traces.io import write_lrb
 
-    trace = make_workload(args.name, n_requests=args.requests)
+    try:
+        trace = make_workload(args.name, n_requests=args.requests)
+    except ValueError as exc:
+        print(exc)
+        return 2
     summary = trace.summary()
     print(
         f"{args.name}: {summary['total_requests']:,} requests, "

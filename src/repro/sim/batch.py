@@ -10,21 +10,25 @@ plus the resident set at any trace length and no ``Request`` list is ever
 built.  Only a policy that declares it reads the future
 (:attr:`~repro.cache.base.CachePolicy.needs_future`) is refused.
 
-For five names the driver picks a **dedicated core** instead
+For two names the driver picks a **dedicated core** instead
 (:data:`BATCH_POLICIES`; :func:`batch_supported` answers "has one") — an
 optimisation, never a different answer: the equivalence harness in
 ``tests/sim/test_batch_equivalence.py`` pins every hit/miss and the final
-resident set against the per-request path.  LRU, FIFO, CLOCK and SIEVE are
-array re-implementations that take the ndarray columns as they come
+resident set against the per-request path.  A dedicated core stays only
+where the benchmark ledger replays it (``replay-lru-stream``, ``replay-scip``
+and the 100 M-request run): LRU's is the one array re-implementation of a
+registry policy in the repo and takes the ndarray columns as they come
 (``process_chunk(keys, sizes, out)``); SCIP's entry *is* the registry
 :class:`~repro.core.scip.SCIPCache`, whose ``replay_columns`` is one inlined
 loop over the policy's own queue, history lists, bandit and RNG — its tail
 insertions (denials, demotions) and data-dependent RNG draws break the
-monotone boundary the array model needs.  ``docs/trace_format.md`` has the
-measured break-even between the cores and the policies' own loops.
+monotone boundary the array model needs.  Every other name, FIFO, CLOCK and
+SIEVE included, streams through its own ``replay_columns``.
+``docs/trace_format.md`` has the measured break-even between the LRU core
+and the policy's own loop.
 
-How the LRU/FIFO fast path works (the *slot model*)
----------------------------------------------------
+How the LRU fast path works (the *slot model*)
+----------------------------------------------
 Assign request ``i`` of the run the global **slot id** ``t0 + i``.  Under
 byte-LRU with consistent per-key sizes, every hit or admitted miss moves
 its key to its request's slot, and the resident set is always the maximal
@@ -42,12 +46,6 @@ then scan requests in order — a hit is a single integer comparison
 the slot array, counting an eviction per live slot consumed, a total
 bounded by the slots created).  No per-request allocation, no linked
 lists, no hashing in the loop.
-
-FIFO differs only in that hits do not move slots; a small per-chunk
-re-admission table lazily re-validates popped candidates.  CLOCK and
-SIEVE have data-dependent hand movement, so they run scalar cores over
-flat int arrays (no ``Node`` allocation, freelist recycling) — exact, and
-still allocation-free per request.
 
 Traces whose keys change size between requests (the rich engine's
 size-update semantics) are detected per chunk and **spill**: the batch
@@ -67,6 +65,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.base import CacheStats
+from repro.cache.lru import LRUCache
 from repro.cache.registry import make_policy
 from repro.core.scip import SCIPCache
 from repro.hashing import splitmix64_array
@@ -78,9 +77,6 @@ from repro.traces.binfmt import BinTraceReader
 __all__ = [
     "Int64Map",
     "BatchLRU",
-    "BatchFIFO",
-    "BatchClock",
-    "BatchSieve",
     "BATCH_POLICIES",
     "batch_supported",
     "make_batch_policy",
@@ -92,7 +88,7 @@ __all__ = [
 _INF = 1 << 62
 _U64 = np.uint64
 
-Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Chunk = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
 ChunkSource = Union[str, Path, BinTraceReader, Trace, Iterable[Chunk]]
 
 
@@ -248,24 +244,22 @@ class Int64Map:
 
 
 # ---------------------------------------------------------------------------
-# LRU / FIFO: slot-model vectorised cores
+# LRU: the slot-model vectorised core
 # ---------------------------------------------------------------------------
 _REP_HASH_BITS = 21
 _REP_FULLSORT_NUM = 3  # fall back to the full sort when repeats > 3/4
 
 
-def _group_occurrences(keys, sizes, nb, promote):
+def _group_occurrences(keys, sizes, nb):
     """Group a chunk's requests by key, preserving request order.
 
-    Returns ``(fidx, lidx, pred, succ, gassign)``:
+    Returns ``(fidx, lidx, pred, succ)``:
 
     * ``fidx`` / ``lidx`` — request index of each distinct key's first /
       last occurrence (one entry per distinct key, unordered);
     * ``pred`` / ``succ`` — within-chunk chain edges: ``succ[j]`` is a
       repeat occurrence and ``pred[j]`` the same key's immediately
       preceding occurrence (non-bypassed keys only);
-    * ``gassign`` — per-request index into ``fidx`` of the request's key
-      (built only when ``promote`` is false; the LRU path never needs it);
 
     or ``None`` when a key changes size within the chunk (spill signal).
 
@@ -310,30 +304,15 @@ def _group_occurrences(keys, sizes, nb, promote):
     pred = order[chsel - 1]
     succ = order[chsel]
     if singles is None:
-        fidx, lidx = gfirst, glast
-    else:
-        fidx = np.concatenate((singles, gfirst))
-        lidx = np.concatenate((singles, glast))
-    gassign = None
-    if not promote:
-        gassign = np.empty(m, np.intp)
-        if singles is None:
-            gassign[order] = np.cumsum(~same) - 1
-        else:
-            nsing = len(singles)
-            gassign[singles] = np.arange(nsing)
-            gassign[order] = np.cumsum(~same) - 1 + nsing
-    return fidx, lidx, pred, succ, gassign
+        return gfirst, glast, pred, succ
+    return np.concatenate((singles, gfirst)), np.concatenate((singles, glast)), pred, succ
 
 
-class _BatchQueueCore:
-    """Shared slot-model machinery for the LRU and FIFO batch paths."""
+class BatchLRU:
+    """Vectorised byte-LRU over the slot model (bit-exact with
+    :class:`repro.cache.lru.LRUCache`)."""
 
-    name = "abstract"
-    #: Whether hits move the key to the request's slot (LRU) or not (FIFO).
-    _promote = True
-    #: Registry policy class used when inconsistent sizes force a spill.
-    _policy_cls = None
+    name = "LRU"
 
     #: Compact when this many dead slots accumulate in the window.
     _COMPACT_SLACK = 1 << 18
@@ -377,10 +356,7 @@ class _BatchQueueCore:
         eviction order (oldest first)."""
         lo = max(self.B + 1 - self.base, 0)
         hi = self.next_slot - self.base
-        sz = self.slot_size[lo:hi]
-        live = sz > 0
-        if self._promote:
-            live &= self.slot_next[lo:hi] >= self.next_slot
+        live = (self.slot_size[lo:hi] > 0) & (self.slot_next[lo:hi] >= self.next_slot)
         return np.flatnonzero(live) + lo
 
     def _compact(self) -> None:
@@ -407,10 +383,10 @@ class _BatchQueueCore:
     # -- spill: inconsistent per-key sizes -> reference policy ---------------
     def _spill(self) -> None:
         self.spills += 1
-        policy = self._policy_cls(self.capacity)
+        policy = LRUCache(self.capacity)
         rel = self._live_rel()
         # Ascending slot order is oldest-first; admitting each in turn
-        # rebuilds the exact recency/insertion order.
+        # rebuilds the exact recency order.
         for k, s in zip(self.slot_key[rel].tolist(), self.slot_size[rel].tolist()):
             policy.import_resident(k, s)
         assert policy.used == self.used, (policy.used, self.used)
@@ -449,34 +425,28 @@ class _BatchQueueCore:
         self._ensure(t0 + m - base)
         off = t0 - base
 
-        promote = self._promote
         bypass = sizes > C
         nb = ~bypass
         n_byp = int(np.count_nonzero(bypass))
 
         # --- grouping: occurrences of each key, in request order ----------
-        grouped = _group_occurrences(keys, sizes, nb, promote)
+        grouped = _group_occurrences(keys, sizes, nb)
         if grouped is None:
             # A key changes size within this chunk: reference semantics.
             self._spill()
             return self._replay_policy(keys, sizes, out)
-        fidx, lidx, pred, succ, gassign = grouped
+        fidx, lidx, pred, succ = grouped
 
-        if promote:
-            # LRU re-slots every key to its last occurrence regardless of
-            # hit/miss, so probe-old and write-new fuse into one traversal.
-            # Bypassed keys are probed but never written (an oversized key
-            # must not enter the map), falling back to a plain lookup.
-            gsel = nb[fidx]
-            prev = np.full(len(fidx), -1, np.int64)
-            prev[gsel] = self.map.exchange_many(
-                keys[fidx[gsel]], t0 + lidx[gsel]
-            )
-            if not bool(gsel.all()):
-                bsel = ~gsel
-                prev[bsel] = self.map.get_many(keys[fidx[bsel]])
-        else:
-            prev = self.map.get_many(keys[fidx])
+        # LRU re-slots every key to its last occurrence regardless of
+        # hit/miss, so probe-old and write-new fuse into one traversal.
+        # Bypassed keys are probed but never written (an oversized key
+        # must not enter the map), falling back to a plain lookup.
+        gsel = nb[fidx]
+        prev = np.full(len(fidx), -1, np.int64)
+        prev[gsel] = self.map.exchange_many(keys[fidx[gsel]], t0 + lidx[gsel])
+        if not bool(gsel.all()):
+            bsel = ~gsel
+            prev[bsel] = self.map.get_many(keys[fidx[bsel]])
         valid = prev >= base  # below base => already evicted (or purged)
         if valid.any():
             stored = self.slot_size[prev[valid] - base]
@@ -488,63 +458,42 @@ class _BatchQueueCore:
 
         # --- static slot state for this chunk -----------------------------
         self.slot_key[off : off + m] = keys
-        if promote:
-            self.slot_size[off : off + m] = np.where(nb, sizes, 0)
-        else:
-            self.slot_size[off : off + m] = 0  # filled per confirmed miss
+        self.slot_size[off : off + m] = np.where(nb, sizes, 0)
+        self.slot_next[off : off + m] = _INF
 
-        # Previous-slot per request: -1 = no live prior residency known.
+        # Previous slot per request (-1 = no live prior residency known);
+        # ``slot_next`` marks the slot a later request of the key moved to.
         fv = fidx[valid]
         pv = prev[valid]
         sel = nb[fv]
-        if promote:
-            # slot_next is only consulted for promotion liveness; FIFO
-            # skips it entirely (a FIFO slot dies only by eviction).
-            self.slot_next[off : off + m] = _INF
-            pslot = np.full(m, -1, np.int64)
-            pslot[fv[sel]] = pv[sel]
-            self.slot_next[pv[sel] - base] = t0 + fv[sel]
-            if len(succ):
-                # LRU: each occurrence chains to the immediately previous one.
-                pslot[succ] = t0 + pred
-                self.slot_next[off + pred] = t0 + succ
-        else:
-            # FIFO: hits don't move, so every occurrence tests the slot of
-            # the key's first occurrence; in-chunk re-admissions are
-            # re-validated lazily in the loop below.
-            pfirst = np.full(len(fidx), -1, np.int64)
-            pfirst[valid] = prev[valid]
-            pslot = pfirst[gassign]
-            pslot[bypass] = -1
+        pslot = np.full(m, -1, np.int64)
+        pslot[fv[sel]] = pv[sel]
+        self.slot_next[pv[sel] - base] = t0 + fv[sel]
+        if len(succ):
+            # each occurrence chains to the immediately previous one
+            pslot[succ] = t0 + pred
+            self.slot_next[off + pred] = t0 + succ
 
         # --- vectorised no-eviction fast path ------------------------------
         # With ``B`` frozen, classification is already exact: request ``i``
-        # misses iff its key's slot is at-or-below the boundary (for FIFO,
-        # only first occurrences can miss — later ones hit the in-chunk
-        # admission).  When the admitted bytes fit without evicting, the
-        # scalar loop would be pure bookkeeping — fold it with array ops.
+        # misses iff its key's slot is at-or-below the boundary.  When the
+        # admitted bytes fit without evicting, the scalar loop would be
+        # pure bookkeeping — fold it with array ops.
         B0 = self.B
-        if promote:
-            adm_mask = (pslot <= B0) & nb
-        else:
-            first_mask = np.zeros(m, bool)
-            first_mask[fidx] = True
-            adm_mask = first_mask & (pslot <= B0) & nb
-        mi = np.flatnonzero(adm_mask)
-        adm_bytes = int(sizes[mi].sum()) if len(mi) else 0
-        curslot: dict = {}
+        mi = np.flatnonzero((pslot <= B0) & nb)
+        n_adm = len(mi)
+        adm_bytes = int(sizes[mi].sum()) if n_adm else 0
         ev = 0
         if self.used + adm_bytes <= C:
             self.used += adm_bytes
-            self.resident += len(mi)
+            self.resident += n_adm
         else:
             # --- scalar hit/miss scan --------------------------------------
-            # The key's current slot is ``pslot`` (LRU: every request
-            # re-slots its key, so the chain value is exact; FIFO: the map
-            # slot, overridden by the in-chunk re-admission table), and a
-            # request hits iff that slot is still above the boundary.  Hits
-            # cost one comparison; only misses do eviction work, advancing
-            # ``B`` over the slot window.
+            # The key's current slot is ``pslot`` (every request re-slots
+            # its key, so the chain value is exact), and a request hits iff
+            # that slot is still above the boundary.  Hits cost one
+            # comparison; only misses do eviction work, advancing ``B`` over
+            # the slot window.
             cidx = np.flatnonzero(nb)
             ci_l = cidx.tolist()
             cp_l = pslot[cidx].tolist()
@@ -560,37 +509,23 @@ class _BatchQueueCore:
             # common near-capacity case) then cost O(overflow), not
             # O(window), in list conversion.
             seg_sz = self.slot_size[lo:hi]
-            if promote:
-                freed = np.where(
-                    (seg_sz > 0) & (self.slot_next[lo:hi] >= t0 + m), seg_sz, 0
-                )
-            else:
-                # FIFO frees every nonzero slot; chunk slots read as 0 until
-                # admitted (conservative: undercounts freed bytes).
-                freed = seg_sz
+            freed = np.where((seg_sz > 0) & (self.slot_next[lo:hi] >= t0 + m), seg_sz, 0)
             need = self.used + int(sizes[cidx].sum()) - C
             wrel = min(int(np.searchsorted(np.cumsum(freed), need)) + 1, hi - lo)
             sz_l = seg_sz[:wrel].tolist()
-            if not promote and wrel < hi - lo:
-                # Admissions write their size at ``step - shift``, which may
-                # lie past the read bound; pad (never read back past wrel).
-                sz_l.extend([0] * (hi - lo - wrel))
-            ck_l = keys[cidx].tolist() if not promote else None
+            nx_l = self.slot_next[lo : lo + wrel].tolist()
 
-            miss_idx: list = []
-            miss_append = miss_idx.append
             B = B0
             used = self.used
             resident = self.resident
-            used0 = used
-            res0 = resident
-            fb = 0
-            if promote and out is None:
+            if out is None:
                 # Counting-only variant: per-miss identity is never consumed
-                # (no decision stream, LRU writes no per-miss slot sizes), so
+                # (no decision stream, no per-miss slot sizes to write), so
                 # admissions are recovered from the used/resident deltas plus
                 # freed bytes instead of materialising an index list.
-                nx_l = self.slot_next[lo : lo + wrel].tolist()
+                used0 = used
+                res0 = resident
+                fb = 0
                 for i, p, s in zip(ci_l, cp_l, cs_l):
                     if p > B:
                         continue  # still resident above the boundary: hit
@@ -606,8 +541,11 @@ class _BatchQueueCore:
                             ev += 1
                     used += s
                     resident += 1
-            elif promote:
-                nx_l = self.slot_next[lo : lo + wrel].tolist()
+                n_adm = (resident - res0) + ev
+                adm_bytes = (used - used0) + fb
+            else:
+                miss_idx: list = []
+                miss_append = miss_idx.append
                 for i, p, s in zip(ci_l, cp_l, cs_l):
                     if p > B:
                         continue  # still resident above the boundary: hit
@@ -623,41 +561,14 @@ class _BatchQueueCore:
                     used += s
                     resident += 1
                     miss_append(i)
-            else:
-                get = curslot.get
-                for i, p, s, k in zip(ci_l, cp_l, cs_l, ck_l):
-                    if get(k, p) > B:
-                        continue  # hit (maybe via an in-chunk re-admission)
-                    step = t0 + i
-                    while used + s > C and resident:
-                        B += 1
-                        q = B - shift
-                        if sz_l[q] > 0:
-                            used -= sz_l[q]
-                            resident -= 1
-                            ev += 1
-                    used += s
-                    resident += 1
-                    sz_l[step - shift] = s
-                    curslot[k] = step
-                    miss_append(i)
-            self.B = B
-            self.used = used
-            self.resident = resident
-            if promote and out is None:
-                mi = None
-                n_adm = (resident - res0) + ev
-                adm_bytes = (used - used0) + fb
-            else:
                 mi = np.asarray(miss_idx, np.int64)
                 n_adm = len(mi)
                 adm_bytes = int(sizes[mi].sum()) if n_adm else 0
+            self.B = B
+            self.used = used
+            self.resident = resident
 
         # --- fold results --------------------------------------------------
-        if mi is not None:
-            n_adm = len(mi)
-        if not promote and n_adm:
-            self.slot_size[mi + off] = sizes[mi]
         byp_bytes = int(sizes[bypass].sum()) if n_byp else 0
         total_bytes = int(sizes.sum())
         st = self.stats
@@ -671,24 +582,6 @@ class _BatchQueueCore:
         self.clock += m
         self.next_slot = t0 + m
 
-        # Key map: FIFO points each key at its end-of-chunk slot (the LRU
-        # path already did, fused into the prev-slot probe above).
-        dead = (self.next_slot - self.base) - self.resident
-        # Amortised: a rebuild costs O(resident), so demand a multiple of
-        # that in dead slots — the window stays <= 3x resident + chunk
-        # while large resident sets (no-eviction replays) compact rarely.
-        will_compact = dead > self._COMPACT_SLACK and dead > 2 * self.resident
-        if not will_compact and not promote:
-            if curslot:
-                n = len(curslot)
-                self.map.put_many(
-                    np.fromiter(curslot.keys(), np.int64, n),
-                    np.fromiter(curslot.values(), np.int64, n),
-                )
-            elif n_adm:
-                # Fast path: only admissions move keys to new slots.
-                self.map.put_many(keys[mi], t0 + mi)
-
         if out is not None:
             hits_mask = nb
             if n_adm:
@@ -696,7 +589,11 @@ class _BatchQueueCore:
                 hits_mask[mi] = False
             out.extend(hits_mask.tolist())
 
-        if will_compact:
+        # Amortised: a rebuild costs O(resident), so demand a multiple of
+        # that in dead slots — the window stays <= 3x resident + chunk
+        # while large resident sets (no-eviction replays) compact rarely.
+        dead = (self.next_slot - self.base) - self.resident
+        if dead > self._COMPACT_SLACK and dead > 2 * self.resident:
             self._compact()
 
     # -- introspection -------------------------------------------------------
@@ -718,213 +615,15 @@ class _BatchQueueCore:
         return self._policy is not None
 
 
-class BatchLRU(_BatchQueueCore):
-    """Vectorised byte-LRU (bit-exact with :class:`repro.cache.lru.LRUCache`)."""
-
-    name = "LRU"
-    _promote = True
-
-    @property
-    def _policy_cls(self):
-        from repro.cache.lru import LRUCache
-
-        return LRUCache
-
-
-class BatchFIFO(_BatchQueueCore):
-    """Vectorised byte-FIFO (bit-exact with :class:`repro.cache.fifo.FIFOCache`)."""
-
-    name = "FIFO"
-    _promote = False
-
-    @property
-    def _policy_cls(self):
-        from repro.cache.fifo import FIFOCache
-
-        return FIFOCache
-
-
-# ---------------------------------------------------------------------------
-# CLOCK / SIEVE: scalar array cores (no Node allocation)
-# ---------------------------------------------------------------------------
-class _ScalarRingCore:
-    """Intrusive ring over flat int lists: slot 0 is the sentinel; ``prv``
-    points toward the MRU/head end (mirroring :class:`LinkedQueue`).
-    Evicted positions are recycled through a freelist, so steady-state
-    replay allocates nothing per request."""
-
-    name = "abstract"
-
-    def __init__(self, capacity: int):
-        capacity = int(capacity)
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.stats = CacheStats()
-        self.clock = 0
-        self.used = 0
-        self.index: dict = {}
-        self.key = [0]
-        self.size = [0]
-        self.ref = [False]
-        self.nxt = [0]
-        self.prv = [0]
-        self.free: list = []
-
-    def _alloc(self, k: int, s: int) -> int:
-        if self.free:
-            p = self.free.pop()
-            self.key[p] = k
-            self.size[p] = s
-            self.ref[p] = False
-            return p
-        self.key.append(k)
-        self.size.append(s)
-        self.ref.append(False)
-        self.nxt.append(0)
-        self.prv.append(0)
-        return len(self.key) - 1
-
-    def _link_head(self, p: int) -> None:
-        h = self.nxt[0]
-        self.prv[p] = 0
-        self.nxt[p] = h
-        self.prv[h] = p
-        self.nxt[0] = p
-
-    def _unlink(self, p: int) -> None:
-        self.nxt[self.prv[p]] = self.nxt[p]
-        self.prv[self.nxt[p]] = self.prv[p]
-
-    def _evict_pos(self, p: int) -> None:
-        self._unlink(p)
-        del self.index[self.key[p]]
-        self.used -= self.size[p]
-        self.stats.evictions += 1
-        self.free.append(p)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def resident_keys(self) -> list:
-        """Keys newest -> oldest (the ring's MRU -> LRU order)."""
-        out = []
-        p = self.nxt[0]
-        while p != 0:
-            out.append(self.key[p])
-            p = self.nxt[p]
-        return out
-
-    def metadata_bytes(self) -> int:
-        return 110 * len(self.index)
-
-    def _on_hit(self, p: int, s: int) -> None:
-        raise NotImplementedError
-
-    def _evict_one(self) -> None:
-        raise NotImplementedError
-
-    def process_chunk(self, keys, sizes, out: Optional[list] = None) -> None:
-        C = self.capacity
-        st = self.stats
-        index = self.index
-        size = self.size
-        app = out.append if out is not None else None
-        keys = np.asarray(keys)
-        sizes = np.asarray(sizes)
-        for k, s in zip(keys.tolist(), sizes.tolist()):
-            p = index.get(k)
-            if p is not None:
-                st.hits += 1
-                st.bytes_hit += s
-                if size[p] != s:
-                    self.used += s - size[p]
-                    size[p] = s
-                self._on_hit(p, s)
-                while self.used > C and len(index) > 1:
-                    self._evict_one()
-                if app is not None:
-                    app(True)
-            else:
-                st.misses += 1
-                st.bytes_missed += s
-                if s > C:
-                    st.bypasses += 1
-                else:
-                    while self.used + s > C and index:
-                        self._evict_one()
-                    p = self._alloc(k, s)
-                    self._link_head(p)
-                    index[k] = p
-                    self.used += s
-                if app is not None:
-                    app(False)
-        self.clock += len(keys)
-
-
-class BatchClock(_ScalarRingCore):
-    """Second-chance CLOCK (bit-exact with :class:`ClockCache`)."""
-
-    name = "CLOCK"
-
-    def _on_hit(self, p: int, s: int) -> None:
-        self.ref[p] = True  # reference bit; no movement on hits
-
-    def _evict_one(self) -> None:
-        ref = self.ref
-        prv = self.prv
-        while True:
-            v = prv[0]  # tail = oldest
-            if ref[v]:
-                ref[v] = False
-                self._unlink(v)
-                self._link_head(v)  # second chance
-            else:
-                self._evict_pos(v)
-                return
-
-
-class BatchSieve(_ScalarRingCore):
-    """SIEVE (bit-exact with :class:`SieveCache`): hand survives across
-    evictions, sweeps tail -> head sparing visited entries in place."""
-
-    name = "SIEVE"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self.hand = 0  # 0 = no saved position (start from the tail)
-
-    def _on_hit(self, p: int, s: int) -> None:
-        self.ref[p] = True  # visited bit; SIEVE never moves nodes
-
-    def _evict_one(self) -> None:
-        ref = self.ref
-        prv = self.prv
-        hand = self.hand
-        if hand == 0:
-            hand = prv[0]  # tail
-        while ref[hand]:
-            ref[hand] = False
-            nh = prv[hand]  # toward head
-            hand = nh if nh != 0 else prv[0]  # wrap to the tail
-        self.hand = prv[hand]  # may be 0: next sweep restarts at the tail
-        self._evict_pos(hand)
-
-
 # ---------------------------------------------------------------------------
 # Registry + engine entry points
 # ---------------------------------------------------------------------------
 #: Names the driver replays through a dedicated core rather than the
-#: registry policy's own ``replay_columns``.  SCIP's is the registry policy.
-#: LRU / FIFO keep the slot model although ``QueueCache.replay_columns``
-#: exists: each wins on some shape (docs/trace_format.md, break-even table).
-BATCH_POLICIES = {
-    "LRU": BatchLRU,
-    "FIFO": BatchFIFO,
-    "CLOCK": BatchClock,
-    "SIEVE": BatchSieve,
-    "SCIP": SCIPCache,
-}
+#: registry policy's own ``replay_columns`` — the two the benchmark ledger
+#: replays from files.  SCIP's is the registry policy.  LRU keeps the slot
+#: model although ``QueueCache.replay_columns`` exists: each wins on some
+#: shape (docs/trace_format.md, break-even table).
+BATCH_POLICIES = {"LRU": BatchLRU, "SCIP": SCIPCache}
 
 
 def batch_supported(name: str) -> bool:
@@ -968,8 +667,11 @@ def iter_source_chunks(
 
     Accepts a binary trace path, an open :class:`BinTraceReader`, an
     in-memory :class:`Trace`, or any iterable already yielding chunk
-    tuples (e.g. :func:`repro.traces.streaming.stream_chunks`).
+    tuples (e.g. :func:`repro.traces.streaming.stream_chunks`).  No bulk
+    entry reads the times, so a :class:`Trace` yields ``None`` in that slot.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if isinstance(source, (str, Path)):
         reader = BinTraceReader(source)
         try:
@@ -983,10 +685,9 @@ def iter_source_chunks(
         for lo in range(0, len(reqs), chunk_size):
             blk = reqs[lo : lo + chunk_size]
             n = len(blk)
-            times = np.fromiter((r.time for r in blk), np.int64, n)
             keys = np.fromiter((r.key for r in blk), np.int64, n)
             sizes = np.fromiter((r.size for r in blk), np.int64, n)
-            yield times, keys, sizes
+            yield None, keys, sizes
     else:
         yield from source
 

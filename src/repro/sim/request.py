@@ -144,10 +144,13 @@ class Trace:
         return sum(r.size for r in self._requests)
 
     def size_stats(self) -> dict:
-        """Min / max / mean object size over unique objects, in bytes."""
+        """Min / max / mean object size over unique objects, in bytes (zeros
+        for the empty trace)."""
         sizes: dict = {}
         for r in self._requests:
             sizes[r.key] = r.size
+        if not sizes:
+            return {"min": 0.0, "max": 0.0, "mean": 0.0}
         arr = np.fromiter(sizes.values(), dtype=np.float64)
         return {
             "min": float(arr.min()),

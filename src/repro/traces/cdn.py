@@ -33,6 +33,7 @@ working-set size, exactly as Figure 1 does (0.5 %, 1 %, 5 %, 10 % of X).
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict
 
 from repro.sim.request import Trace
@@ -154,14 +155,22 @@ def workload_names() -> list:
     return list(WORKLOADS)
 
 
-def make_workload(name: str, n_requests: int = 200_000, seed: int | None = None) -> Trace:
-    """Generate one of the three named workloads at the requested scale."""
+def _spec(name: str, n_requests: int, seed: int | None) -> WorkloadSpec:
     try:
         factory = WORKLOADS[name]
     except KeyError:
         raise KeyError(f"unknown workload {name!r}; choose from {list(WORKLOADS)}") from None
     spec = factory(n_requests=n_requests) if seed is None else factory(n_requests=n_requests, seed=seed)  # type: ignore[operator]
-    return generate_trace(spec)
+    if n_requests < 1 or spec.n_core < 1:
+        # the generator needs a request and one object in the scaled core population
+        floor = next(n for n in count(1) if factory(n_requests=n).n_core >= 1)  # type: ignore[operator]
+        raise ValueError(f"workload {name!r} needs n_requests >= {floor}, got {n_requests}")
+    return spec
+
+
+def make_workload(name: str, n_requests: int = 200_000, seed: int | None = None) -> Trace:
+    """Generate one of the three named workloads at the requested scale."""
+    return generate_trace(_spec(name, n_requests, seed))
 
 
 def workload_to_bin(
@@ -173,9 +182,4 @@ def workload_to_bin(
     written via :func:`~repro.traces.synthetic.spec_to_bin`, skipping the
     Python ``Request`` list.  Returns the written header dict.
     """
-    try:
-        factory = WORKLOADS[name]
-    except KeyError:
-        raise KeyError(f"unknown workload {name!r}; choose from {list(WORKLOADS)}") from None
-    spec = factory(n_requests=n_requests) if seed is None else factory(n_requests=n_requests, seed=seed)  # type: ignore[operator]
-    return spec_to_bin(spec, path)
+    return spec_to_bin(_spec(name, n_requests, seed), path)

@@ -245,6 +245,15 @@ def _draw_sizes(
     return np.clip(sizes, spec.min_size, spec.max_size).astype(np.int64)
 
 
+def _segment_offsets(gaps: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Running sum of ``gaps`` that restarts at every segment (``lens`` holds
+    the segment lengths; no segments give no offsets)."""
+    cum = np.cumsum(gaps)
+    starts = np.cumsum(lens) - lens
+    base = np.where(starts > 0, cum[np.maximum(starts - 1, 0)], 0.0)
+    return cum - np.repeat(base, lens)
+
+
 def generate_arrays(spec: WorkloadSpec):
     """Generate the workload as parallel ``(keys, sizes)`` int64 arrays.
 
@@ -334,12 +343,8 @@ def generate_arrays(spec: WorkloadSpec):
     )
     burst_key_base = spec.n_core + n_one
     burst_keys = burst_key_base + np.repeat(np.arange(n_burst_obj), lens_arr)
-    gaps = rng.uniform(1, spec.burst_window, total)
-    # Within-object cumulative gaps: segmented cumsum (reset per object).
-    cum = np.cumsum(gaps)
-    seg_starts = np.concatenate([[0], np.cumsum(lens_arr)[:-1]])
-    base = np.where(seg_starts > 0, cum[np.maximum(seg_starts - 1, 0)], 0.0)
-    offset = cum - np.repeat(base, lens_arr)
+    # Within-object cumulative gaps (reset per object).
+    offset = _segment_offsets(rng.uniform(1, spec.burst_window, total), lens_arr)
     burst_times = np.repeat(burst_births, lens_arr) + offset
     burst_times = np.clip(burst_times, 0, R - 1)
 
@@ -354,11 +359,7 @@ def generate_arrays(spec: WorkloadSpec):
             spec.burst_revive_gap, n_rev
         )
         rev_total = int(rev_lens.sum())
-        rev_gaps = rng.uniform(1, spec.burst_window, rev_total)
-        rev_cum = np.cumsum(rev_gaps)
-        rev_starts = np.concatenate([[0], np.cumsum(rev_lens)[:-1]])
-        rev_base = np.where(rev_starts > 0, rev_cum[np.maximum(rev_starts - 1, 0)], 0.0)
-        rev_offset = rev_cum - np.repeat(rev_base, rev_lens)
+        rev_offset = _segment_offsets(rng.uniform(1, spec.burst_window, rev_total), rev_lens)
         rev_times = np.repeat(rev_births, rev_lens) + rev_offset
         keep = rev_times < R - 1
         burst_keys = np.concatenate(
@@ -405,11 +406,7 @@ def generate_arrays(spec: WorkloadSpec):
         n_extra = np.where(jitter < 0.1, n_extra + 1, n_extra)
         n_extra = np.maximum(np.where(jitter > 0.9, n_extra - 1, n_extra), 1)
         rep_src = np.repeat(pair_src, n_extra)
-        gaps_p = rng.uniform(1, spec.sweep_pair_gap, len(rep_src))
-        cum_p = np.cumsum(gaps_p)
-        starts_p = np.concatenate([[0], np.cumsum(n_extra)[:-1]])
-        base_p = np.where(starts_p > 0, cum_p[np.maximum(starts_p - 1, 0)], 0.0)
-        offs_p = cum_p - np.repeat(base_p, n_extra)
+        offs_p = _segment_offsets(rng.uniform(1, spec.sweep_pair_gap, len(rep_src)), n_extra)
         pair_t = visit_t[rep_src] + offs_p
         pair_keys = visit_keys[rep_src]
         sweep_times = np.concatenate([visit_t, pair_t])

@@ -1,27 +1,27 @@
 """Bit-exactness harness: the chunk-streaming driver vs the rich engine.
 
 The dedicated cores in :mod:`repro.sim.batch` are an independent
-reimplementation of LRU/FIFO/CLOCK/SIEVE over structure-of-arrays chunks,
-plus SCIP's inlined column loop over the policy's own state (its row holds
-the registry ``SCIPCache``); nothing about them is allowed to be
-"approximately" right.  The oracle is the rich policy driven one
-``request()`` call at a time — never ``replay``, which for LRU and SCIP is
-itself an inlined loop.  For every policy with a dedicated core this
-harness replays the same trace through both and asserts **identical**:
+reimplementation of LRU over structure-of-arrays chunks, plus SCIP's
+inlined column loop over the policy's own state (its row holds the registry
+``SCIPCache``); nothing about them is allowed to be "approximately" right.
+The oracle is the rich policy driven one ``request()`` call at a time —
+never ``replay``, which for LRU and SCIP is itself an inlined loop.  For the
+five names that have ever had a dedicated core (:data:`STREAMED`; FIFO,
+CLOCK and SIEVE now stream through their registry policy's
+``replay_columns``, and stay here so that path is held to the same pins)
+this harness replays the same trace through both and asserts **identical**:
 
 * per-request hit/miss decision streams,
 * aggregate stats (hits, misses, evictions, bypasses, byte counters),
 * used bytes, clock and resident-object count,
-* final resident sets — in recency/insertion *order* for LRU/FIFO/SCIP, as
-  a set for the ring policies (CLOCK/SIEVE order their ring by hand
-  position, which the rich implementations expose differently),
+* final resident sets, in recency / insertion / ring *order*,
 * for SCIP the whole learner state as well (:func:`scip_state`): per-node
   flags/stamps/tokens in queue order, both history lists in FIFO order,
   the ω pair, λ and its controller, the diagnostics and the RNG state,
 
 across golden CDN workloads and seeded random traces (including
-inconsistent-size traces that force the LRU/FIFO spill-to-rich fallback
-and that SCIP replays natively), at multiple cache sizes, and — the
+inconsistent-size traces that force the LRU core's spill-to-rich fallback
+and that the others replay natively), at multiple cache sizes, and — the
 batch-specific axis — at multiple chunk sizes, which must not change a
 single decision.  :class:`TestEveryPolicyStreams` then holds the driver to
 the same standard for every name in the registry, dedicated core or not.
@@ -44,6 +44,7 @@ from repro.obs.probe import Probe
 from repro.obs.sinks import JSONLSink, RegistryRecorder, RingBufferSink, SnapshotEmitter
 from repro.sim.batch import (
     BATCH_POLICIES,
+    BatchLRU,
     batch_replay,
     batch_supported,
     make_batch_policy,
@@ -64,10 +65,14 @@ RICH = {
     "SCIP": SCIPCache,
 }
 
+#: What ``make_batch_policy`` / the driver is pinned for in this file: the
+#: two dedicated cores and the three names whose cores were deleted.
+STREAMED = sorted(RICH)
+
 _STAT_FIELDS = ("hits", "misses", "evictions", "bypasses", "bytes_hit", "bytes_missed")
 
 
-def _rich_resident(policy, name):
+def _resident(policy):
     if hasattr(policy, "resident_keys"):
         return policy.resident_keys()
     ring = getattr(policy, "ring", None)
@@ -110,12 +115,7 @@ def assert_same_end_state(name, rich, batch):
     assert rich.used == batch.used
     assert rich.clock == batch.clock
     assert len(rich) == len(batch)
-    rich_res = _rich_resident(rich, name)
-    batch_res = batch.resident_keys()
-    if name in ("LRU", "FIFO", "SCIP"):
-        assert rich_res == batch_res, f"{name}: resident order differs"
-    else:
-        assert sorted(rich_res) == sorted(batch_res), f"{name}: resident set differs"
+    assert _resident(rich) == _resident(batch), f"{name}: resident order differs"
     if name == "SCIP":
         want, got = scip_state(rich), scip_state(batch)
         for part in want:
@@ -152,7 +152,7 @@ def assert_equivalent(name, keys, sizes, cap, chunk):
 
 def _random_trace(seed):
     """Seeded random trace; every third seed has inconsistent sizes, which
-    the batch cores must answer by spilling to the rich policy."""
+    the LRU core must answer by spilling to the rich policy."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(200, 2500))
     nkeys = int(rng.integers(1, max(m // 2, 2)))
@@ -183,7 +183,7 @@ def golden_w():
 
 
 class TestGoldenTraces:
-    @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
+    @pytest.mark.parametrize("name", STREAMED)
     @pytest.mark.parametrize("cap_div", [50, 8])
     @pytest.mark.parametrize("chunk", [1 << 20, 337])
     def test_golden_bit_exact(self, golden, name, cap_div, chunk):
@@ -196,7 +196,7 @@ class TestGoldenTraces:
         keys, sizes, wss = golden_w
         assert_equivalent("SCIP", keys, sizes, max(wss // cap_div, 1), chunk)
 
-    @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
+    @pytest.mark.parametrize("name", STREAMED)
     def test_chunk_size_changes_nothing(self, golden, name):
         # The batch axis that has no rich-engine counterpart: any chunking
         # must produce the identical engine end state.
@@ -207,7 +207,7 @@ class TestGoldenTraces:
             out: list = []
             core = make_batch_policy(name, cap)
             replay_chunks(core, keys, sizes, chunk, out)
-            state = (out, core.used, core.resident_keys(), core.stats.evictions)
+            state = (out, core.used, _resident(core), core.stats.evictions)
             if reference is None:
                 reference = state
             else:
@@ -215,7 +215,7 @@ class TestGoldenTraces:
 
 
 class TestRandomTraces:
-    @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
+    @pytest.mark.parametrize("name", STREAMED)
     @pytest.mark.parametrize("seed", range(12))
     def test_random_bit_exact(self, name, seed):
         keys, sizes = _random_trace(seed)
@@ -223,19 +223,19 @@ class TestRandomTraces:
         for cap in (1, max(tot // 20, 1), max(tot // 3, 1), 2 * tot):
             assert_equivalent(name, keys, sizes, cap, 337)
 
-    @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
+    @pytest.mark.parametrize("name", STREAMED)
     def test_inconsistent_sizes_spill_and_stay_exact(self, name):
         keys, sizes = _random_trace(2)  # seed 2: per-request random sizes
         core = assert_equivalent(name, keys, sizes, max(int(sizes.sum()) // 8, 1), 337)
-        if name in ("LRU", "FIFO"):
-            # The queue cores' slot model assumes stable per-key sizes and
-            # must answer violations by spilling to the rich policy; the
-            # ring cores and SCIP replay per-request and need no fallback.
+        if name == "LRU":
+            # The slot model assumes stable per-key sizes and must answer
+            # violations by spilling to the rich policy; the others replay
+            # per request and need no fallback.
             assert core.spilled, "inconsistent sizes must trip the rich fallback"
         else:
             assert not getattr(core, "spilled", False)
 
-    @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
+    @pytest.mark.parametrize("name", STREAMED)
     def test_empty_and_single_request(self, name):
         assert_equivalent(name, [], [], 100, 1 << 20)
         assert_equivalent(name, [5], [10], 100, 1 << 20)
@@ -243,25 +243,24 @@ class TestRandomTraces:
 
 
 class TestCompactionStress:
-    @pytest.mark.parametrize("name", ["LRU", "FIFO"])
+    @pytest.mark.parametrize("name", ["LRU"])
     def test_many_compactions_stay_exact(self, name, monkeypatch):
         # Shrink the dead-slot slack so compaction (slot renumbering + map
         # rebuild) fires many times within one small trace.
-        from repro.sim.batch import _BatchQueueCore
-
-        monkeypatch.setattr(_BatchQueueCore, "_COMPACT_SLACK", 256)
+        monkeypatch.setattr(BatchLRU, "_COMPACT_SLACK", 256)
         rng = np.random.default_rng(99)
         m = 6_000
         keys = rng.integers(0, 300, m).astype(np.int64)
         sizes = rng.integers(1, 50, 300).astype(np.int64)[keys]
-        assert_equivalent(name, keys, sizes, int(sizes.sum()) // 6, 449)
+        core = assert_equivalent(name, keys, sizes, int(sizes.sum()) // 6, 449)
+        assert core.compactions > 1
 
 
 class TestSimulateBatch:
     def test_simulate_batch_matches_rich_simulate(self):
         trace = make_workload("CDN-T", n_requests=8_000, seed=5)
         cap = max(int(trace.working_set_size * 0.05), 1)
-        for name in sorted(BATCH_POLICIES):
+        for name in STREAMED:
             rich = simulate(RICH[name](cap), trace)
             batch = simulate_batch(name, trace, cap)
             assert batch.miss_ratio == rich.miss_ratio, name
@@ -290,11 +289,12 @@ class TestSimulateBatch:
         assert out_mem == out_file
 
     def test_batch_supported_matches_registry(self):
-        assert batch_supported("LRU") and batch_supported("SIEVE")
-        assert batch_supported("SCIP")
-        assert not batch_supported("ARC")
-        assert set(BATCH_POLICIES) == {"LRU", "FIFO", "CLOCK", "SIEVE", "SCIP"}
-        assert BATCH_POLICIES["SCIP"] is SCIPCache
+        # a dedicated core stays only where the benchmark ledger replays it
+        assert BATCH_POLICIES == {"LRU": BatchLRU, "SCIP": SCIPCache}
+        assert batch_supported("LRU") and batch_supported("SCIP")
+        for name in ("FIFO", "CLOCK", "SIEVE", "ARC"):
+            assert not batch_supported(name)
+            assert type(make_batch_policy(name, 100)) is type(make_policy(name, 100))
 
     @pytest.mark.parametrize("warmup", [0, 1_500, 2_000, 2_001, 6_000, 6_005])
     def test_scip_warmup_inside_at_and_past_a_chunk_boundary(self, tmp_path, warmup):
@@ -357,17 +357,26 @@ class TestEveryPolicyStreams:
         trace = read_bin(path)
         return path, trace, max(int(trace.working_set_size * 0.05), 1)
 
+    @staticmethod
+    def _assert_streams_exactly(name, path, trace, cap, chunks):
+        """Decisions and the six counters of ``batch_replay`` at each chunk
+        size ``==`` one ``request()`` per element; returns the decisions."""
+        ref = make_policy(name, cap)
+        want = [ref.request(req) for req in trace.requests]
+        for chunk in chunks:
+            got: list = []
+            core = batch_replay(name, path, cap, chunk_size=chunk, out=got)
+            assert got == want, f"{name}: decisions differ at cap={cap} chunk={chunk}"
+            for field in _STAT_FIELDS:
+                assert getattr(core.stats, field) == getattr(ref.stats, field), (name, cap, field)
+            assert core.stats.hits + core.stats.misses == len(trace)
+            assert 0 <= core.used <= cap
+        return want
+
     @pytest.mark.parametrize("name", [n for n in available_policies() if n not in _ORACLES])
     def test_stream_equals_materialise(self, streamed, name):
         path, trace, cap = streamed
-        ref = make_policy(name, cap)
-        want = [ref.request(req) for req in trace.requests]
-        for chunk in (1_000, 1 << 20):
-            got: list = []
-            core = batch_replay(name, path, cap, chunk_size=chunk, out=got)
-            assert got == want, f"{name}: decisions differ at chunk={chunk}"
-            for field in _STAT_FIELDS:
-                assert getattr(core.stats, field) == getattr(ref.stats, field), (name, field)
+        want = self._assert_streams_exactly(name, path, trace, cap, (1_000, 1 << 20))
         # warm-up inside a chunk, at a chunk boundary, past the end: the
         # collector's own per-request contract over the oracle's decisions
         for warmup in (2_500, 3_000, len(trace) + 5):
@@ -384,6 +393,33 @@ class TestEveryPolicyStreams:
         for field in ("policy", "cache_bytes", "requests", "miss_ratio", "byte_miss_ratio",
                       "metadata_bytes"):
             assert getattr(batch, field) == getattr(rich, field), (name, field)
+
+    @pytest.fixture(scope="class")
+    def hostile(self, tmp_path_factory):
+        from repro.sim.request import Trace
+        from repro.traces.binfmt import read_bin, write_bin
+
+        tmp = tmp_path_factory.mktemp("hostile")
+        path, empty = str(tmp / "t.bin"), str(tmp / "empty.bin")
+        write_bin(make_workload("CDN-T", n_requests=2_000, seed=11), path)  # keeps LRB cheap
+        write_bin(Trace([], name="empty"), empty)
+        return path, read_bin(path), empty
+
+    @pytest.mark.parametrize("name", [n for n in available_policies() if n not in _ORACLES])
+    def test_hostile_shapes_stay_exact(self, hostile, name):
+        """Nothing fits, almost nothing fits, one-request chunks, no requests
+        at all: no shape raises, and each decides as one ``request()`` per
+        element does."""
+        path, trace, empty = hostile
+        largest = max(req.size for req in trace.requests)
+        five_percent = max(int(trace.working_set_size * 0.05), 1)
+        for cap, chunk in ((1, 1_000), (largest - 1, 1_000), (five_percent, 1)):
+            self._assert_streams_exactly(name, path, trace, cap, (chunk,))
+        got: list = []
+        core = batch_replay(name, empty, 1, chunk_size=1, out=got)
+        assert got == [] and core.stats.requests == 0 and core.used == 0
+        res = simulate_batch(name, empty, five_percent)
+        assert (res.requests, res.miss_ratio, res.byte_miss_ratio) == (0, 0.0, 0.0)
 
     @pytest.mark.parametrize("name", _ORACLES)
     def test_an_oracle_is_refused_with_the_reason(self, streamed, name):
@@ -558,7 +594,7 @@ class TestHookPathGuards:
 class TestFullMatrix:
     """The full pre-merge matrix — hundreds of combos, opt-in via -m slow."""
 
-    @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
+    @pytest.mark.parametrize("name", STREAMED)
     def test_exhaustive(self, name):
         trace = make_workload("CDN-T", n_requests=30_000, seed=3)
         keys = np.array([r.key for r in trace.requests], np.int64)

@@ -1,9 +1,10 @@
 """Batch-engine observability: chunk-boundary aggregates on SimResult.obs.
 
-The batch cores never see individual requests, so they cannot feed the
+The bulk entries never see individual requests, so they cannot feed the
 per-event probe; instead every chunk boundary folds the stats delta into
 registry counters.  These aggregates must reconcile exactly with the
-core's own CacheStats."""
+core's own CacheStats — for the LRU array core and for names the driver
+streams through their registry policy alike."""
 
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ class TestBatchObs:
         assert res.obs["registry"]["batch_spills"][""]["value"] == 1
 
     def test_scalar_cores_default_to_zero_maintenance_counters(self):
-        # CLOCK/SIEVE cores have no window compaction; the fold must not
-        # assume the attributes exist.
+        # A registry policy (CLOCK here) has no window compaction; the fold
+        # must not assume the attributes exist.
         core = make_batch_policy("CLOCK", 5_000)
         res = simulate_batch(core, _trace(n=2_000), core.capacity)
         snap = res.obs["registry"]
