@@ -160,15 +160,13 @@ class CachePolicy(ABC):
         """Attach an observability probe (:class:`repro.obs.probe.Probe`).
 
         Hook points (``admit``, ``evict``, policy-specific learner events)
-        start emitting.  Bulk-replay loops pass the hooks by, so they drop
-        back to the instrumented per-request path until :meth:`detach_probe`
-        — except where the loop can report the same events as aggregates
-        and the probe's sinks all take them
-        (:meth:`SCIPCache.replay_columns
-        <repro.core.scip.SCIPCache.replay_columns>` under
-        :attr:`Probe.folds <repro.obs.probe.Probe.folds>`).  The decision
-        sequence is unchanged either way — the golden-trace suite pins
-        replay-with-probe against the recorded traces.
+        start emitting.  LRU's inlined loop passes the hooks by, so it
+        drops back to the instrumented per-request path until
+        :meth:`detach_probe`; SCIP's kernel has emit sites of its own, and
+        over a chunk it reports aggregates to a probe whose sinks all take
+        them (:attr:`Probe.folds <repro.obs.probe.Probe.folds>`).  The
+        decision sequence is unchanged either way — the golden-trace suite
+        pins replay-with-probe against the recorded traces.
 
         A probe without a clock source borrows this policy's until
         :meth:`detach_probe`.

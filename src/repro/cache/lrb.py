@@ -164,7 +164,11 @@ class RelaxedBeladyLearner:
 
 
 class LRBCache(QueueCache):
-    """LRB with plain LRU insertion/promotion (the original's choice)."""
+    """LRB with plain LRU insertion/promotion (the original's choice).
+
+    Its insert/evict hooks pass on to the next class in the MRO, so
+    :class:`repro.core.enhance.ASCIPLRB` stacks it over ASC-IP's insertion.
+    """
 
     name = "LRB"
 
@@ -177,9 +181,11 @@ class LRBCache(QueueCache):
         return super().request(req)
 
     def _on_insert(self, node: Node, req: Request) -> None:
-        self.learner.track_insert(req.key)
+        super()._on_insert(node, req)
+        self.learner.track_insert(node.key)
 
     def _on_evict(self, node: Node) -> None:
+        super()._on_evict(node)
         self.learner.track_evict(node.key)
 
     def _choose_victim(self) -> Node:

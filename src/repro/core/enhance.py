@@ -17,6 +17,10 @@ reference, and this module provides exactly those four hybrids:
 * :class:`ASCIPLRUK` / :class:`ASCIPLRB` — the same hosts with ASC-IP's
   size-threshold insertion, the paper's reference enhancer.
 
+The SCIP hybrids ride SCIP's kernel through its extension points (a victim
+chooser, an access callback, insert/evict callbacks); the ASC-IP ones use
+the :class:`~repro.cache.base.QueueCache` hooks.
+
 SCIP cannot be composed with multi-chain structures (ARC, S4LRU) — the
 paper flags this as future work, and :func:`enhance` refuses those hosts.
 """
@@ -28,7 +32,7 @@ from collections import deque
 from typing import Dict, Optional
 
 from repro.cache.ascip import ASCIPCache
-from repro.cache.lrb import RelaxedBeladyLearner
+from repro.cache.lrb import LRBCache, RelaxedBeladyLearner
 from repro.cache.queue import Node
 from repro.core.scip import SCIPCache
 from repro.sim.request import Request
@@ -47,6 +51,8 @@ class _LRUKVictimMixin:
     def _init_lruk(self, k: int = 2, sample: int = 16) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if sample < 1:
+            raise ValueError(f"sample must be >= 1, got {sample}")
         self.k = k
         self.sample = sample
         self._atimes: Dict[int, deque] = {}
@@ -93,9 +99,8 @@ class SCIPLRUK(_LRUKVictimMixin, SCIPCache):
         super().__init__(capacity, **scip_kwargs)
         self._init_lruk(k=k, sample=sample)
 
-    def request(self, req: Request) -> bool:
-        self._record_access(req.key)
-        return super().request(req)
+    def _on_access(self, key: int, size: int) -> None:
+        self._record_access(key)
 
     def metadata_bytes(self) -> int:
         return super().metadata_bytes() + (8 * self.k + 16) * len(self._atimes)
@@ -115,72 +120,41 @@ class ASCIPLRUK(_LRUKVictimMixin, ASCIPCache):
         return super().request(req)
 
 
-class _LRBVictimMixin:
-    """Relaxed-Belady victim selection shared by the LRB hybrids."""
-
-    def _init_lrb(self, **learner_kwargs) -> None:
-        self.learner = RelaxedBeladyLearner(**learner_kwargs)
-
-    def _lrb_victim(self) -> Node:
-        key = self.learner.choose_victim_key(self.clock)
-        if key is None:
-            tail = self.queue.tail
-            assert tail is not None
-            return tail
-        return self.index[key]
-
-
-class SCIPLRB(_LRBVictimMixin, SCIPCache):
+class SCIPLRB(SCIPCache):
     """LRB victim model + SCIP insertion/promotion (Figure 12)."""
 
     name = "LRB-SCIP"
 
     def __init__(self, capacity: int, learner_kwargs: Optional[dict] = None, **scip_kwargs):
         super().__init__(capacity, **scip_kwargs)
-        self._init_lrb(**(learner_kwargs or {}))
+        self.learner = RelaxedBeladyLearner(**(learner_kwargs or {}))
 
-    def request(self, req: Request) -> bool:
-        self.learner.on_access(req.key, req.size, self.clock + 1)
-        return super().request(req)
+    _choose_victim = LRBCache._choose_victim
 
-    def _on_insert(self, node: Node, req: Request) -> None:
-        super()._on_insert(node, req)
-        self.learner.track_insert(req.key)
+    def _on_access(self, key: int, size: int) -> None:
+        self.learner.on_access(key, size, self.clock + 1)
 
-    def _on_evict(self, node: Node) -> None:
-        super()._on_evict(node)
-        self.learner.track_evict(node.key)
+    def _on_admitted(self, key: int) -> None:
+        self.learner.track_insert(key)
 
-    def _choose_victim(self) -> Node:
-        return self._lrb_victim()
+    def _on_evicted(self, key: int) -> None:
+        self.learner.track_evict(key)
 
     def metadata_bytes(self) -> int:
         return super().metadata_bytes() + self.learner.metadata_bytes()
 
 
-class ASCIPLRB(_LRBVictimMixin, ASCIPCache):
+class ASCIPLRB(LRBCache, ASCIPCache):
     """LRB victim model + ASC-IP insertion (Figure 12 reference)."""
 
     name = "LRB-ASCIP"
 
     def __init__(self, capacity: int, learner_kwargs: Optional[dict] = None, **ascip_kwargs):
-        super().__init__(capacity, **ascip_kwargs)
-        self._init_lrb(**(learner_kwargs or {}))
+        ASCIPCache.__init__(self, capacity, **ascip_kwargs)
+        self.learner = RelaxedBeladyLearner(**(learner_kwargs or {}))
 
-    def request(self, req: Request) -> bool:
-        self.learner.on_access(req.key, req.size, self.clock + 1)
-        return super().request(req)
-
-    def _on_insert(self, node: Node, req: Request) -> None:
-        super()._on_insert(node, req)
-        self.learner.track_insert(req.key)
-
-    def _on_evict(self, node: Node) -> None:
-        super()._on_evict(node)
-        self.learner.track_evict(node.key)
-
-    def _choose_victim(self) -> Node:
-        return self._lrb_victim()
+    # the footprint of ASC-IP alone: the learner is not counted
+    metadata_bytes = ASCIPCache.metadata_bytes
 
 
 #: Hosts SCIP can enhance, by name (Figure 12's subjects).

@@ -58,6 +58,9 @@ class LearningRateController:
             raise ValueError(
                 f"initial λ must be in [{LAMBDA_MIN}, {LAMBDA_MAX}], got {initial}"
             )
+        if unlearn_limit < 1:
+            # below 1 every window with δ == 0 restarts λ, improving or not
+            raise ValueError(f"unlearn_limit must be >= 1, got {unlearn_limit}")
         self.rng = rng or random.Random(0)
         self.unlearn_limit = unlearn_limit
         self.value = initial          # λ_t

@@ -10,26 +10,27 @@ history lists are the (negative) reward signal: a ghost hit in ``H_m`` means
 an MRU insertion traversed the whole cache unused (a ZRO/P-ZRO) — penalise
 MIP; a ghost hit in ``H_l`` means an LRU insertion threw away a future hit —
 penalise LIP.  Penalties are multiplicative, ``ω ← ω·e^{−λ}`` (Algorithm 1,
-L8/L11), followed by normalisation — the EXP3-style update LeCaR introduced
-for cache experts, which the paper adopts.
+L8/L11), followed by normalisation and a 0.01 exploration floor — the
+EXP3-style update LeCaR introduced for cache experts, which the paper adopts.
+``SELECT`` draws γ ∈ [0,1] and picks MIP iff ``ω_m > γ`` — a Bernoulli(ω_m)
+bimodal insertion.
 
-``select`` implements Algorithm 1's ``SELECT``: draw γ ∈ [0,1] and pick MIP
-iff ``ω_m > γ`` — i.e. a Bernoulli(ω_m) bimodal insertion.
+The update and both selections are part of SCIP's one statement,
+:meth:`repro.core.scip.SCIPCache._kernel`; this class holds the state they
+act on — the ω pair, the penalty counts, the selection mode and the RNG —
+and the probe ``weight_update`` events go to.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
-
-from repro.cache.base import LRU_POS, MRU_POS
 
 __all__ = ["PositionBandit"]
 
 
 class PositionBandit:
-    """ω_m/ω_l weight pair with multiplicative penalties and BIP selection.
+    """The ω_m/ω_l weight pair of SCIP's two experts.
 
     Parameters
     ----------
@@ -39,6 +40,13 @@ class PositionBandit:
         matching the deployment story of replacing LRU in TDC).
     rng:
         Seeded RNG used for the γ draws.
+    mode:
+        ``threshold`` follows §3.1's BIP description — "when α > 0.5, BIP
+        will insert the object into the MRU position, otherwise into the LRU
+        position" — a deterministic, noise-free switch.  ``bernoulli``
+        follows Algorithm 1's ``SELECT`` literally (γ ~ U[0,1], MRU iff
+        ω_m > γ).  The two coincide in expectation; threshold avoids paying
+        the tail-insertion cost on random draws while ω_m is high.
     """
 
     #: Observability hook (see :class:`repro.obs.probe.Probe`); class-level
@@ -62,44 +70,6 @@ class PositionBandit:
         self.penalties_mru = 0
         self.penalties_lru = 0
 
-    # -- weight updates (Algorithm 1, L6-13) ----------------------------------
-    def _normalize(self) -> None:
-        total = self.w_mru + self.w_lru
-        if total <= 0.0:  # pragma: no cover - defensive; e^{-λ} keeps ω > 0
-            self.w_mru = self.w_lru = 0.5
-            return
-        self.w_mru /= total
-        self.w_lru = 1.0 - self.w_mru
-        # Keep both experts alive: a weight pinned at 0 could never recover
-        # under multiplicative updates (standard EXP3 exploration floor).
-        floor = 0.01
-        if self.w_mru < floor:
-            self.w_mru = floor
-            self.w_lru = 1.0 - floor
-        elif self.w_lru < floor:
-            self.w_lru = floor
-            self.w_mru = 1.0 - floor
-
-    def penalize_mru(self, lam: float) -> None:
-        """Ghost hit in ``H_m``: the MRU expert wasted cache space."""
-        self.w_mru *= math.exp(-lam)
-        self.penalties_mru += 1
-        self._normalize()
-        if self._probe is not None:
-            self._probe.emit(
-                "weight_update", side="mru", lam=lam, w_mru=self.w_mru, w_lru=self.w_lru
-            )
-
-    def penalize_lru(self, lam: float) -> None:
-        """Ghost hit in ``H_l``: the LRU expert forfeited a hit."""
-        self.w_lru *= math.exp(-lam)
-        self.penalties_lru += 1
-        self._normalize()
-        if self._probe is not None:
-            self._probe.emit(
-                "weight_update", side="lru", lam=lam, w_mru=self.w_mru, w_lru=self.w_lru
-            )
-
     # -- observability ---------------------------------------------------------
     def attach_probe(self, probe) -> None:
         """Emit ``weight_update`` events (ω pair after each penalty)."""
@@ -107,38 +77,6 @@ class PositionBandit:
 
     def detach_probe(self) -> None:
         self._probe = None
-
-    # -- action selection --------------------------------------------------------
-    def select(self) -> int:
-        """Pick the insertion position.
-
-        ``threshold`` mode follows §3.1's BIP description — "when α > 0.5,
-        BIP will insert the object into the MRU position, otherwise into the
-        LRU position" — a deterministic, noise-free switch.  ``bernoulli``
-        mode follows Algorithm 1's ``SELECT`` literally (γ ~ U[0,1], MRU iff
-        ω_m > γ).  The two coincide in expectation; threshold avoids paying
-        the tail-insertion cost on random draws while ω_m is high.
-        """
-        if self.mode == "threshold":
-            return MRU_POS if self.w_mru > 0.5 else LRU_POS
-        return MRU_POS if self.w_mru > self.rng.random() else LRU_POS
-
-    def select_promotion(self, threshold: float = 0.2) -> int:
-        """Position for a *hit* object (the unified promotion decision).
-
-        Promotion errors are costlier than insertion errors — demoting a
-        popular object forfeits its whole hit stream, while a mis-inserted
-        miss costs one extra miss — so the LRU position for hits engages
-        only deep in a ZRO-storm regime (ω_m below ``threshold``), not at
-        the insertion break-even of 0.5.
-        """
-        if self.mode == "threshold":
-            return MRU_POS if self.w_mru > threshold else LRU_POS
-        # Bernoulli mode: rescale so the demotion probability reaches 1 only
-        # as ω_m → 0 and stays 0 above the threshold.
-        if self.w_mru >= threshold:
-            return MRU_POS
-        return MRU_POS if self.rng.random() < self.w_mru / threshold else LRU_POS
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PositionBandit(w_mru={self.w_mru:.4f}, w_lru={self.w_lru:.4f})"

@@ -10,23 +10,19 @@ workloads, attributable to P-ZRO capture.
 
 from __future__ import annotations
 
-from repro.cache.queue import Node
 from repro.core.scip import SCIPCache
-from repro.sim.request import Request
 
 __all__ = ["SCICache"]
 
 
 class SCICache(SCIPCache):
-    """SCIP minus the promotion policy (hits always promote to MRU)."""
+    """SCIP minus the promotion policy (hits always promote to MRU).
+
+    The traversal stamp restarts on a hit exactly as in SCIP — the tenure
+    estimator measures the queue, not the policy — and a hit leaves the
+    node's flags as they are, so the Figure 7 comparison isolates the
+    promotion policy alone.
+    """
 
     name = "SCI"
-
-    def _on_hit(self, node: Node, req: Request) -> None:
-        # Algorithm 3 L3-5: remove, then insert at MRU unconditionally.
-        # The traversal stamp restarts exactly as in SCIP — the tenure
-        # estimator measures the queue, not the policy — so the Figure 7
-        # comparison isolates the promotion policy alone.
-        node.inserted_mru = True
-        node.stamp = self.clock
-        self.queue.move_to_mru(node)
+    always_mru = True

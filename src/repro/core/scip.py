@@ -23,36 +23,76 @@ restarts), reacting to hit-rate trends every ``update_interval`` requests.
 object should be adjusted."  The history entry carries the evicted tenure's
 hit token, which disambiguates the episode kind, and the adjustment must
 *persist across episodes* for the recurring populations the paper targets
-(A-ZROs, A-P-ZROs — Figures 1(c)/(f)):
+(A-ZROs, A-P-ZROs — Figures 1(c)/(f)).  A ghost is *long-gap* when it
+returns more than ``deny_gap_factor`` cache lifetimes after its eviction,
+``clock − evict_time > deny_gap_factor · tenure_ewma``; ``conf`` is the
+object's P-ZRO confidence (default 0, kept in ``[−4, 3]``):
 
-====================================  =======================================
-ghost evidence                        action for this insertion
-====================================  =======================================
-``H_m``, token False                  confirmed recurring **ZRO** — insert at
-                                      LRU, remember the denial (``DENIED``)
-``H_m``, token True                   **P-ZRO** pattern (earns hits, dies
-                                      right after) — insert at MRU, flag as
-                                      suspect: its *next hit* is demoted
-``H_l``, flag ``DENIED``, token F     the denial was right (still unused at
-                                      the tail) — keep denying, no penalty
-``H_l``, flag ``DENIED``, token T     it was hit even at the tail — release:
-                                      insert at MRU, penalise ω_l
-``H_l``, flag ``DEMOTED``             the demotion was right (died at the
-                                      tail after its hit) — re-arm: MRU +
-                                      suspect, no penalty
-``H_l``, flag ``NORMAL``              a bimodal LRU insertion threw away a
-                                      comeback — insert at MRU, penalise ω_l
-====================================  =======================================
+=========================================  ==================================
+ghost evidence on an admission             action for this insertion
+=========================================  ==================================
+none                                       position by ``SELECT``
+any, ``per_object=False``                  ``H_m``: penalise ω_m; ``H_l``:
+                                           penalise ω_l; position by
+                                           ``SELECT`` (Algorithm 1 literal)
+``H_m``, ``use_hit_token=False``           long gap: penalise ω_m, DENY;
+                                           else MRU
+``H_m``, short gap                         MRU — a quick returner is
+                                           cacheable
+``H_m``, token 0                           confirmed recurring **ZRO** —
+                                           penalise ω_m, DENY
+``H_m``, token 1                           **P-ZRO** pattern (earns a hit,
+                                           dies right after) — penalise ω_m,
+                                           MRU, and SUSPECT if ``conf ≥ 0``
+``H_m``, token ≥ 2                         MRU — the object earns its keep
+``H_l``, flag ``DENIED``, token 0, long    the denial was right — penalise
+                                           ω_m, DENY
+``H_l``, flag ``DEMOTED``, long gap        the demotion was right —
+                                           ``conf ← min(conf+1, 3)``,
+                                           penalise ω_m, MRU, SUSPECT
+``H_l``, otherwise                         release to MRU; a ``NORMAL`` flag
+                                           penalises ω_l, a ``DEMOTED`` one
+                                           sets ``conf ← max(conf−2, −4)``
+=========================================  ==================================
+
+DENY draws ``u``: ``u < escape`` gives a reconciliation tenure (MRU, flag
+``NORMAL``), otherwise LRU with flag ``DENIED``.  SUSPECT draws ``u``:
+``u < escape`` leaves the flag ``NORMAL``, otherwise it is ``SUSPECT``.
 
 On a **hit** of a flagged suspect, the object is demoted to the LRU position
-(the unified "insert the hit object as if missing") and the flag is
-consumed — if it is hit again regardless, the suspicion was wrong and normal
-promotion resumes.  Unflagged hits re-insert by the bimodal draw, which in
-ZRO-light phases keeps SCIP at classic LRU promotion.
+(the unified "insert the hit object as if missing") and its flag becomes
+``DEMOTED`` — if it is hit again regardless, the suspicion was wrong
+(``conf ← max(conf−2, −4)``) and normal promotion resumes.  Other hits clear
+``DENIED`` and re-insert by the promotion draw (``threshold`` mode: MRU iff
+``ω_m > promote_threshold``; ``bernoulli``: MRU iff ``ω_m ≥
+promote_threshold`` or ``u < ω_m / promote_threshold``), which in ZRO-light
+phases keeps SCIP at classic LRU promotion.  An MRU placement restarts the
+node's traversal stamp.
 
 Victim selection stays plain LRU — SCIP is an insertion/promotion policy;
 the wrappers in :mod:`repro.core.enhance` splice it under other victim
-selection rules (LRU-K, LRB) for the Figure 12 experiment.
+selection rules (LRU-K, LRB) for the Figure 12 experiment.  An evicted node
+goes to ``H_m`` if it was last placed at MRU (and its traversal updates
+``tenure_ewma += 0.02·((clock − stamp) − tenure_ewma)``), else to ``H_l``,
+as ``(size, hit token, DENIED | DEMOTED | NORMAL, clock)``.
+
+**Order of operations.**  One ``random.Random(seed)`` stream serves every
+draw.  Within an admission: ghost lookup (``H_m`` first), the ω penalty
+(``ω_x ← ω_x·e^{−λ}``, then ``ω_m ← ω_m / (ω_m + ω_l)``, ``ω_l ← 1 − ω_m``,
+then the 0.01 floor on whichever fell below it), the escape draw, the
+``SELECT`` draw (``bernoulli`` mode, position not forced: MRU iff
+``ω_m > u``; ``threshold``: MRU iff ``ω_m > 0.5``), then the evictions and
+the insert.  A hit whose object grew evicts after its re-placement.  Every
+``update_interval`` recorded requests, after the request, UPDATELR runs on
+the window's hit rate (its restart draw is the stream's next), then the
+confidence map is cut to the keys in ``H_m``, ``H_l`` or the cache once it
+holds more than ``4·(|H_m| + |H_l|) + 4096``.
+
+**One statement, two drivers.**  All of the above is written once, in the
+resumable kernel :meth:`SCIPCache._kernel`.  :meth:`~SCIPCache.request`
+sends it one request; :meth:`~SCIPCache.replay_columns` runs the same body
+over a chunk's columns; :meth:`~SCIPCache.admit` is an off-record step of
+it.
 """
 
 from __future__ import annotations
@@ -61,7 +101,7 @@ import math
 import random
 from typing import Optional
 
-from repro.cache.base import LRU_POS, MRU_POS, CachePolicy, QueueCache
+from repro.cache.base import QueueCache
 from repro.cache.queue import Node
 from repro.core.history import HistoryList
 from repro.core.learning import LAMBDA_MAX, LAMBDA_MIN, LearningRateController
@@ -78,12 +118,10 @@ DEMOTED = 2   # demoted on a hit as a recognised P-ZRO
 SUSPECT = 4   # next hit should be demoted (node-only bit)
 CLEARED = 3   # a past P-ZRO suspicion was disproved: do not re-arm
 
-#: What :meth:`SCIPCache.replay_columns` inlines; overriding any of these
-#: sends a subclass back to the per-request hook path.
-_INLINED = (
-    "request", "_lookup", "_hit", "_miss", "_make_room", "evict_node", "_choose_victim",
-    "_insert_position", "_on_hit", "_on_insert", "_on_evict", "_long_gap", "_deny", "_suspect",
-)
+#: The key slot of a kernel message that is not a recorded request: the
+#: size slot then holds an off-record ``(key, size)`` step, or ``None`` to park.
+_CONTROL = object()
+_PARK = (_CONTROL, None)
 
 
 class SCIPCache(QueueCache):
@@ -128,9 +166,26 @@ class SCIPCache(QueueCache):
         as a ZRO (no suspicion machinery).
     seed:
         Seeds both the γ draws and λ restarts; experiments are deterministic.
+
+    The kernel reads its parameters, ``bandit.mode`` and the probes when it
+    primes (on the first request after construction or a park); ``capacity``
+    on every message.
     """
 
     name = "SCIP"
+
+    # -- extension points: how SCI and the Figure 12 hosts ride the kernel ---------
+    #: SCI (Algorithm 3): a hit re-inserts at MRU with its flags untouched.
+    always_mru = False
+    #: ``() -> Node``, the eviction victim; ``None`` evicts the LRU end.
+    #: (SCIP never calls :meth:`QueueCache._choose_victim`.)
+    _choose_victim = None
+    #: ``(key, size)`` before each recorded request, ``self.clock`` not yet
+    #: advanced (LRU-K's access history, LRB's feature tracker).
+    _on_access = None
+    #: ``(key)`` after an insert / after an eviction (LRB's candidate pool).
+    _on_admitted = None
+    _on_evicted = None
 
     def __init__(
         self,
@@ -165,9 +220,10 @@ class SCIPCache(QueueCache):
             initial=initial_lambda, unlearn_limit=unlearn_limit, rng=rng
         )
         self.update_interval = update_interval
-        # Windowed hit-rate tracking for Π_t / Π_{t-i}.
-        self._win_hits = 0
-        self._win_reqs = 0
+        # The hit-rate window for Π_t / Π_{t-i}: the clock and the hit count
+        # where it started.
+        self._win_start = 0
+        self._win_hits_from = 0
         self._prev_hit_rate = 0.0
         # Diagnostics.
         self.ghost_hits_m = 0
@@ -189,329 +245,114 @@ class SCIPCache(QueueCache):
         # successors stop being gambled on, while consistent
         # single-hit-then-die objects stay treated.
         self._pzro_conf: dict = {}
-        # Per-miss transient state set by the ghost lookup.
-        self._forced_pos: Optional[int] = None
-        self._insert_flags = NORMAL
 
     # -- observability -----------------------------------------------------------
     def attach_probe(self, probe) -> None:
-        """Attach the probe to the whole learner stack: SCIP's own hook
-        points (``ghost_hit``, ``episode_transition``, ``admit``/``evict``)
-        plus the bandit's ``weight_update`` and the λ controller's
+        """Attach the probe to the whole learner stack: SCIP's own events
+        (``ghost_hit``, ``episode_transition``, ``admit``/``evict``) plus
+        the bandit's ``weight_update`` and the λ controller's
         ``lambda_update``/``lambda_restart``."""
+        self._park()
         super().attach_probe(probe)
         self.bandit.attach_probe(probe)
         self.lr.attach_probe(probe)
 
     def detach_probe(self) -> None:
+        self._park()
         super().detach_probe()
         self.bandit.detach_probe()
         self.lr.detach_probe()
 
-    # -- Algorithm 1 main loop ---------------------------------------------------
+    # -- the drivers ---------------------------------------------------------------
     def request(self, req: Request) -> bool:
-        hit = super().request(req)
-        self._win_reqs += 1
-        if hit:
-            self._win_hits += 1
-        if self._win_reqs >= self.update_interval:
-            hit_rate = self._win_hits / self._win_reqs
-            self.lr.update(hit_rate, self._prev_hit_rate)
-            self._prev_hit_rate = hit_rate
-            self._win_hits = 0
-            self._win_reqs = 0
-            # Bound the confidence map to metadata scale (ghost-list order).
-            cap_entries = 4 * (len(self.h_m) + len(self.h_l)) + 4096
-            if len(self._pzro_conf) > cap_entries:
-                known = set(self.h_m.keys()) | set(self.h_l.keys()) | set(self.index)
-                self._pzro_conf = {
-                    k: v for k, v in self._pzro_conf.items() if k in known
-                }
-        return hit
+        return self._send((req.key, req.size))
 
-    # -- promotion (Algorithm 1, L23-25): remove + unified re-insert ----------------
-    def _on_hit(self, node: Node, req: Request) -> None:
-        self.queue.unlink(node)  # C.REMOVE — not recorded anywhere
-        flags = node.data or NORMAL
-        if flags & SUSPECT:
-            # P-ZRO suspect: history says this object's tenures die right
-            # after a hit.  Treat the hit as the special missing object it
-            # is about to become: LRU position.  Consume the suspicion so a
-            # surviving re-hit proves us wrong and restores promotion.
-            node.data = DEMOTED
-            node.inserted_mru = False
-            self.queue.push_lru(node)
-            self.pzro_demotions += 1
-            if self._probe is not None:
-                self._probe.emit("episode_transition", key=node.key, to="DEMOTED")
-            return
-        if flags & DEMOTED:
-            # Re-hit while demoted at the tail: the suspicion was wrong.
-            c = self._pzro_conf.get(node.key, 0)
-            self._pzro_conf[node.key] = max(c - 2, -4)
-            if self._probe is not None:
-                self._probe.emit("episode_transition", key=node.key, to="RELEASED")
-        node.data = flags & ~DENIED  # a hit clears ZRO state
-        if self.bandit.select_promotion(self.promote_threshold) == MRU_POS:
-            node.inserted_mru = True
-            node.stamp = self.clock  # promotion restarts the traversal clock
-            self.queue.push_mru(node)
-        else:
-            node.inserted_mru = False
-            self.queue.push_lru(node)
+    def _send(self, message):
+        """Prime a kernel from instance state and hand it ``message``.  While
+        it lives, ``self._send`` is the kernel's own ``send``."""
+        kernel = self._kernel()
+        next(kernel)
+        self._send = kernel.send
+        return kernel.send(message)
 
-    # -- miss path: ghost evidence → weights + per-object adjustment -----------------
-    def _miss(self, req: Request) -> None:
-        self._forced_pos = None
-        self._insert_flags = NORMAL
-        lam = self.lr.value
-        entry = self.h_m.pop(req.key)
-        if entry is not None:
-            _, hits, flag, etime = entry
-            self.ghost_hits_m += 1
-            if self._probe is not None:
-                self._probe.emit(
-                    "ghost_hit",
-                    list="m",
-                    key=req.key,
-                    hits=hits,
-                    flag=flag,
-                    age=self.clock - etime,
-                )
-            if not self.per_object:
-                # Algorithm 1 literal: global update only (L6-8).
-                self.bandit.penalize_mru(lam)
-            elif not self.use_hit_token and self._long_gap(etime):
-                # Token-blind variant: every long-gap H_m ghost is a ZRO.
-                self.bandit.penalize_mru(lam)
-                self._deny(req.key)
-            elif not self.use_hit_token:
-                self._forced_pos = MRU_POS
-            elif not self._long_gap(etime):
-                # Returned within a cache lifetime of its eviction: the
-                # tenure was merely unlucky, the object is cacheable.  Give
-                # it the MRU position; no evidence against the MRU expert.
-                self._forced_pos = MRU_POS
-            elif hits == 0:
-                # Confirmed recurring ZRO: the MRU placement bought a full
-                # traversal and nothing else.  Penalise the expert and deny
-                # the position.
-                self.bandit.penalize_mru(lam)
-                self._deny(req.key)
-            elif hits == 1:
-                # Single-hit-then-die signature: the one hit was a P-ZRO
-                # event.  The *promotion* wasted a traversal — penalise the
-                # MRU expert and arm the suspicion for the next tenure.
-                # A CLEARED record means a past demotion of this object was
-                # disproved (it missed again right after) — don't gamble
-                # again except for the occasional bimodal retry.
-                self.bandit.penalize_mru(lam)
-                self._forced_pos = MRU_POS
-                if self._pzro_conf.get(req.key, 0) >= 0:
-                    # Negative confidence = past demotions of this object
-                    # forfeited follow-up hits; it is permanently released
-                    # to normal promotion (the conservative side of the
-                    # trade — a wrong demotion costs hits, a missed one
-                    # only costs space).
-                    self._suspect(req.key)
-            else:
-                # Multi-hit tenure: the object earns its keep while
-                # resident; demoting any one hit would forfeit the rest.
-                self._forced_pos = MRU_POS
-        else:
-            entry = self.h_l.pop(req.key)
-            if entry is not None:
-                _, hits, flag, etime = entry
-                if self._probe is not None:
-                    self._probe.emit(
-                        "ghost_hit",
-                        list="l",
-                        key=req.key,
-                        hits=hits,
-                        flag=flag,
-                        age=self.clock - etime,
-                    )
-                if not self.per_object:
-                    self.bandit.penalize_lru(lam)
-                    self.ghost_hits_l += 1
-                elif flag == DENIED and hits == 0 and self._long_gap(etime):
-                    # Denial confirmed (unused at the tail AND the return
-                    # gap still exceeds a cache lifetime): sustain it.  The
-                    # confirmation is also regime evidence — an MRU tenure
-                    # would have been wasted — so the MRU expert pays.
-                    self.bandit.penalize_mru(lam)
-                    self._deny(req.key)
-                elif flag == DEMOTED and self._long_gap(etime):
-                    # Demotion confirmed (died at the tail right after its
-                    # hit, returning only after a cache lifetime): raise the
-                    # object's confidence, re-arm, and charge the MRU expert.
-                    c = self._pzro_conf.get(req.key, 0)
-                    self._pzro_conf[req.key] = min(c + 1, 3)
-                    self.bandit.penalize_mru(lam)
-                    self._forced_pos = MRU_POS
-                    self._suspect(req.key)
-                else:
-                    # Release to the MRU position.  Only a NORMAL-flag entry
-                    # indicts the LRU expert — a DENIED/DEMOTED entry's tail
-                    # placement was the per-object machinery's decision, not
-                    # the expert's, so releasing it carries no global signal.
-                    # A quick comeback after a DEMOTED death means the
-                    # demotion forfeited a real follow-up hit: mark the
-                    # object CLEARED so the suspicion is not re-armed.
-                    if flag == NORMAL:
-                        self.bandit.penalize_lru(lam)
-                        self.ghost_hits_l += 1
-                    elif flag == DEMOTED:
-                        # Quick comeback after a demotion death: the
-                        # demotion forfeited a real follow-up hit.
-                        c = self._pzro_conf.get(req.key, 0)
-                        self._pzro_conf[req.key] = max(c - 2, -4)
-                    self._forced_pos = MRU_POS
-        super()._miss(req)
+    def _park(self) -> None:
+        """Stop the live kernel, if any, with every field written back; the
+        next message primes a new one from instance state.  Out-of-band
+        writes (:meth:`remove`, a probe change, a chunk replay) park first."""
+        send = self.__dict__.get("_send")
+        if send is not None:
+            try:
+                send(_PARK)
+            except StopIteration:
+                pass
 
-    def _long_gap(self, evict_time: int) -> bool:
-        """Return-gap test: did the object stay away for longer than the
-        cache could ever have held it?  Only such objects are ZRO/P-ZRO
-        treatable — quick returners are marginal objects worth caching."""
-        return (self.clock - evict_time) > self.deny_gap_factor * self._tenure_ewma
-
-    def _deny(self, key: int) -> None:
-        """Apply (or sustain) a ZRO denial, with bimodal escape."""
-        if self._rng.random() < self.escape:
-            self._forced_pos = MRU_POS  # reconciliation tenure
-            self._insert_flags = NORMAL
-            if self._probe is not None:
-                self._probe.emit("episode_transition", key=key, to="ESCAPED")
-            return
-        self._forced_pos = LRU_POS
-        self._insert_flags = DENIED
-        self.zro_denials += 1
-        if self._probe is not None:
-            self._probe.emit("episode_transition", key=key, to="DENIED")
-
-    def _suspect(self, key: int) -> None:
-        """Arm (or re-arm) a P-ZRO suspicion, with bimodal escape."""
-        if self._rng.random() < self.escape:
-            self._insert_flags = NORMAL
-            if self._probe is not None:
-                self._probe.emit("episode_transition", key=key, to="ESCAPED")
-            return
-        self._insert_flags = SUSPECT
-        if self._probe is not None:
-            self._probe.emit("episode_transition", key=key, to="SUSPECT")
-
-    def _insert_position(self, req: Request) -> int:
-        if self._forced_pos is not None:
-            pos = self._forced_pos
-            self._forced_pos = None
-            return pos
-        return self.bandit.select()
-
-    def _on_insert(self, node: Node, req: Request) -> None:
-        node.data = self._insert_flags
-        node.stamp = self.clock
-        self._insert_flags = NORMAL
-
-    # -- eviction → history routing (L14-19) --------------------------------------------
-    def _on_evict(self, node: Node) -> None:
-        flags = node.data or NORMAL
-        if flags & DENIED:
-            flag = DENIED
-        elif flags & DEMOTED:
-            flag = DEMOTED
-        else:
-            flag = NORMAL
-        if node.inserted_mru:
-            # A full MRU->LRU traversal measures the cache lifetime.
-            self._tenure_ewma += 0.02 * ((self.clock - node.stamp) - self._tenure_ewma)
-            self.h_m.add(
-                node.key, node.size, hits=node.hit_token or 0, flag=flag, time=self.clock
-            )
-        else:
-            self.h_l.add(
-                node.key, node.size, hits=node.hit_token or 0, flag=flag, time=self.clock
-            )
-
-    # -- bulk replay: Algorithm 1 + the per-object layer in one loop ---------------------
-    def _fast_replay_eligible(self) -> bool:
-        """Whether :meth:`replay_columns` may run its inlined loop.
-
-        The loop reproduces ``request``/``_hit``/``_on_hit``/``_miss``/
-        ``_on_evict`` and the helpers they call as written in *this* class,
-        so it engages only when none of them is overridden (``SCICache``,
-        ``SCIPLRUK``, ``SCIPLRB`` keep the hook path).  The loop passes the
-        hook points by; what it can do for an observer is count, so a probe
-        is admitted only when that is all its sinks ask for
-        (:attr:`Probe.folds <repro.obs.probe.Probe.folds>`) and the same
-        probe sits on policy, bandit and λ controller, as
-        :meth:`attach_probe` leaves it — the loop's counters cover all
-        three.  Any other probe selects the per-event hook path.
-        """
-        probe = self._probe
-        if self.bandit._probe is not probe or self.lr._probe is not probe:
+    def admit(self, key: int, size: int) -> bool:
+        """:meth:`CachePolicy.admit` as an off-record step of the kernel: the
+        admission's ghost lookup, learning and evictions all run, at the
+        current clock, with no request counted."""
+        if size > self.capacity or key in self.index:
             return False
-        if probe is not None and not probe.folds:
-            return False
-        cls = type(self)
-        return all(getattr(cls, name) is getattr(SCIPCache, name) for name in _INLINED)
+        self._send((_CONTROL, (key, size)))
+        return True
 
-    def _fold_window(self, sizes: list, decisions: list, victims: list, pool: list, out) -> None:
-        """Report what :meth:`replay_columns` held for the observer since
-        the last window edge — ``sizes`` beside their ``decisions`` (an
-        admission is a miss that fits) and the evicted nodes — then let go
-        of it: the decisions go to ``out``, the victims to the ``pool``."""
-        probe = self._probe
-        capacity = self.capacity
-        admitted = [size for size, hit in zip(sizes, decisions) if not hit and size <= capacity]
-        probe.fold("admit", len(admitted), size=admitted)
-        probe.fold(
-            "evict",
-            len(victims),
-            size=[victim.size for victim in victims],
-            hits=[victim.hit_token for victim in victims],
-        )
-        if out is not None:
-            out.extend(decisions)
-        decisions.clear()
-        pool.extend(victims)
-        victims.clear()
+    def remove(self, key: int) -> Optional[Node]:
+        self._park()
+        return super().remove(key)
+
+    def _make_room(self, need: int) -> None:
+        """Evict by SCIP's rule down to capacity (``need`` must be 0: how a
+        quota shrink calls it) — an off-record step of an object too large
+        to admit, whose bypass touches nothing but the eviction loop."""
+        if need:
+            raise ValueError(f"SCIP makes room only down to its capacity, got need={need}")
+        self._send((_CONTROL, (_CONTROL, self.capacity + 1)))
+
+    def replay(self, requests, out: Optional[list] = None) -> None:
+        if not isinstance(requests, (list, tuple)):
+            requests = list(requests)
+        self.replay_columns([r.key for r in requests], [r.size for r in requests], out)
 
     def replay_columns(self, keys: list, sizes: list, out: Optional[list] = None) -> None:
-        """Replay parallel ``keys``/``sizes`` lists (a trace chunk's columns).
-
-        State-exact with one :meth:`request` call per element — decisions,
-        counters, queue order with every node's flags/stamp/token, both
-        history lists, the ω pair, λ and the RNG stream — but as a single
-        loop over the policy's own structures: no ``Request`` objects, no
-        method dispatch, counters in locals folded back at the end (so a
-        trace split across calls equals one call).  Float operation order
-        and the number and order of RNG draws follow the hook path; the
-        per-miss steps are only regrouped where they touch disjoint state
-        (the ω penalty before the escape draw, ``SELECT`` before the
-        evictions).  ``tests/sim/test_batch_equivalence.py`` pins all of it
-        against the ``request`` loop.
-
-        Under a probe that folds (see :meth:`_fast_replay_eligible`) the same
-        loop is the instrumentation: its counters are the event counts, the
-        decisions it appends give the admitted sizes, and the victims are
-        kept instead of recycled for theirs.  It hands them to
-        :meth:`Probe.fold <repro.obs.probe.Probe.fold>` at each UPDATELR
-        window edge, so what is held for the observer is one window's worth,
-        and the registry ends up as the hook path's would
-        (``tests/obs/test_fold_equivalence.py``).  Unobserved, an iteration
-        executes nothing for any of this.
-        """
-        if not self._fast_replay_eligible():
-            return CachePolicy.replay_columns(self, keys, sizes, out)
+        """Replay parallel ``keys``/``sizes`` lists (a trace chunk's columns):
+        the kernel's body run over them in one loop, counters in locals
+        written back at the end, so a trace split across calls equals one
+        call and equals one :meth:`request` per element."""
         if len(keys) != len(sizes):
             raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
+        self._park()
+        for _ in self._kernel(keys, sizes, out):
+            pass
+
+    # -- the kernel ----------------------------------------------------------------
+    def _kernel(self, keys: Optional[list] = None, sizes=None, out: Optional[list] = None):
+        """Algorithm 1 and the per-object layer, stated once.
+
+        A generator holding the policy's state in locals.  Driven per
+        request (``keys`` is ``None``), it yields each decision and takes
+        the next message: ``(key, size)`` is a recorded request,
+        ``(_CONTROL, (key, size))`` an off-record step (an admission no
+        request counts; with the size over capacity, only the eviction
+        loop), ``_PARK`` stops it.  After each step it writes back the
+        fields that step changed, so instance state is current between
+        requests.  Driven by columns, it runs the same body over the chunk
+        and returns; everything is written back when it ends.
+
+        Probes: a sink that needs records gets them from emit sites in the
+        body, in this order per request — ``ghost_hit``, ``weight_update``,
+        ``episode_transition``, one ``evict`` per victim, ``admit``, then
+        UPDATELR's own events.  Over columns, a probe whose sinks all fold
+        (:attr:`Probe.folds <repro.obs.probe.Probe.folds>`) is instead
+        handed counts, admitted sizes and the victims at each window edge
+        and at the end (:meth:`_fold`).  Unobserved, the body pays one
+        branch per site.
+        """
+        chunked = keys is not None
         index = self.index
         index_get = index.get
         queue = self.queue
         sentinel = queue._sentinel
-        capacity = self.capacity
         node_cls = Node
-        append = out.append if out is not None else None
+        control = _CONTROL
         h_m = self.h_m
         h_l = self.h_l
         hm_entries = h_m._entries
@@ -520,7 +361,7 @@ class SCIPCache(QueueCache):
         hl_pop = hl_entries.pop
         conf = self._pzro_conf
         bandit = self.bandit
-        escape_draw = self._rng.random  # _deny / _suspect
+        escape_draw = self._rng.random  # DENY / SUSPECT
         select_draw = bandit.rng.random  # SELECT and the promotion draw
         lr_update = self.lr.update
         escape = self.escape
@@ -530,307 +371,438 @@ class SCIPCache(QueueCache):
         use_hit_token = self.use_hit_token
         update_interval = self.update_interval
         threshold_mode = bandit.mode == "threshold"
-        # Loop-local mirrors of instance state, folded back after the loop.
+        always_mru = self.always_mru
+        choose = self._choose_victim
+        access = self._on_access
+        on_admitted = self._on_admitted
+        on_evicted = self._on_evicted
+        probe = self._probe
+        bprobe = bandit._probe
+        emit = probe.emit if probe is not None and not (chunked and probe.folds) else None
+        wemit = bprobe.emit if bprobe is not None and not (chunked and bprobe.folds) else None
+        folding = chunked and ((probe is not None and emit is None) or (bprobe is not None and wemit is None))
+        hooked = not (choose is None and access is None and on_admitted is None and on_evicted is None)
+        # A step keeps self.clock current unless nothing reads it mid-chunk.
+        plain = chunked and emit is None and wemit is None and not hooked
+        # Local mirrors of instance state.
+        st = self.stats
+        capacity = self.capacity
         used = self.used
         clock = self.clock
         qbytes = queue.bytes
         count = queue._count
-        hits = misses = bytes_hit = bytes_missed = evictions = bypasses = 0
-        ghost_m = ghost_l = denials = demotions = pen_mru = pen_lru = 0
-        hl_pops = released = escaped = suspects = 0  # events only an observer counts
+        hits, misses, bytes_hit = st.hits, st.misses, st.bytes_hit
+        bytes_missed, evictions, bypasses = st.bytes_missed, st.evictions, st.bypasses
+        ghost_m, ghost_l = self.ghost_hits_m, self.ghost_hits_l
+        denials, demotions = self.zro_denials, self.pzro_demotions
+        pen_mru, pen_lru = bandit.penalties_mru, bandit.penalties_lru
+        w_mru, w_lru = bandit.w_mru, bandit.w_lru
         tenure = self._tenure_ewma
-        w_mru = bandit.w_mru
-        w_lru = bandit.w_lru
         lam = self.lr.value
         decay = math.exp(-lam)
-        # The hit-rate window as offsets of the counters above: requests in
-        # the window = clock - win_start, hits in it = hits - win_hits_from.
-        win_start = clock - self._win_reqs
-        win_hits_from = -self._win_hits
+        win_start = self._win_start
+        win_hits_from = self._win_hits_from
         boundary = win_start + update_interval
-        # Evicted nodes are recycled for later inserts (see QueueCache.replay_columns).
+        hl_pops = released = escaped = suspects = 0  # events only an observer counts
+        # Evicted nodes are recycled for later inserts; observed by a folding
+        # probe, they are kept until the next fold reads them.
         pool: list = []
         pool_pop = pool.pop
         pool_append = pool.append
-        probe = self._probe
-        if probe is not None:
-            # Observed: keep every decision and every victim until the next
-            # window edge folds them; only then do the victims join the pool.
-            decisions: list = []
-            victims: list = []
-            append = decisions.append
+        victims: list = []
+        admitted: list = []
+        if folding and probe is not None and emit is None:
             pool_append = victims.append
-            first = clock  # sizes[i] arrives at clock first + 1 + i
-            folded = 0  # sizes[:folded] are with the probe already
-        for key, size in zip(keys, sizes):
-            clock += 1
-            node = index_get(key)
-            if node is not None:
-                # Hit: C.REMOVE, then re-insert as the special missing object.
-                admit = False
-                need = 0
-                hits += 1
-                bytes_hit += size
-                node.hit_token += 1
-                if node.size != size:
-                    d = size - node.size
-                    used += d
-                    qbytes += d
-                    node.size = size
-                prev = node.prev
-                nxt = node.next
-                prev.next = nxt
-                nxt.prev = prev
-                flags = node.data or NORMAL
-                if flags & SUSPECT:
-                    node.data = DEMOTED
-                    to_mru = False
-                    demotions += 1
+        # What the last fold reported, as the counts it folds are kept.
+        folded = (ghost_m, hl_pops, demotions, released, escaped, denials, suspects, pen_mru + pen_lru)
+        append = out.append if out is not None else None
+        record = True
+        decision = None
+        try:
+            while True:
+                if chunked:
+                    pairs = zip(keys, sizes)
                 else:
-                    if flags & DEMOTED:
-                        conf[key] = max(conf.get(key, 0) - 2, -4)
-                        released += 1
-                    node.data = flags & ~DENIED
-                    if threshold_mode:
-                        to_mru = w_mru > promote_threshold
+                    message = yield decision
+                    if message[0] is control:
+                        message = message[1]
+                        if message is None:
+                            return
+                        record = False
                     else:
-                        to_mru = (
-                            w_mru >= promote_threshold
-                            or select_draw() < w_mru / promote_threshold
-                        )
-                node.inserted_mru = to_mru
-                if to_mru:
-                    node.stamp = clock  # promotion restarts the traversal clock
-                    head = sentinel.next
-                    node.prev = sentinel
-                    node.next = head
-                    head.prev = node
-                    sentinel.next = node
-                else:
-                    tail = sentinel.prev
-                    node.next = sentinel
-                    node.prev = tail
-                    tail.next = node
-                    sentinel.prev = node
-                if append is not None:
-                    append(True)
-            else:
-                misses += 1
-                bytes_missed += size
-                if append is not None:
-                    append(False)
-                need = 0
-                admit = size <= capacity
-                if not admit:
-                    bypasses += 1
-                else:
-                    # Ghost evidence -> ω penalty, per-object action, position.
-                    need = size
-                    iflags = NORMAL
-                    penalty = act = 0  # penalty: 1 = ω_m, 2 = ω_l; act: 1 = deny, 2 = suspect
-                    to_mru = None
-                    entry = hm_pop(key, None)
-                    if entry is not None:
-                        esize, ghits, gflag, etime = entry
-                        h_m.bytes -= esize
-                        ghost_m += 1
-                        if not per_object:
-                            penalty = 1
-                        elif not (clock - etime) > gap_factor * tenure:
+                        record = True
+                    capacity = self.capacity
+                    pairs = (message,)
+                for key, size in pairs:
+                    if plain:
+                        clock += 1
+                    elif record:
+                        if access is not None:
+                            access(key, size)
+                        clock += 1
+                        self.clock = clock
+                    node = index_get(key)
+                    if node is not None:
+                        # Hit: C.REMOVE, then re-insert as the special missing object.
+                        hit = True
+                        admit = False
+                        need = 0
+                        hits += 1
+                        bytes_hit += size
+                        node.hit_token += 1
+                        resized = node.size != size
+                        if resized:
+                            d = size - node.size
+                            used += d
+                            qbytes += d
+                            node.size = size
+                        prev = node.prev
+                        nxt = node.next
+                        prev.next = nxt
+                        nxt.prev = prev
+                        if always_mru:
                             to_mru = True
-                        elif not use_hit_token or ghits == 0:
-                            penalty = act = 1
-                        elif ghits == 1:
-                            penalty = 1
-                            to_mru = True
-                            if conf.get(key, 0) >= 0:
-                                act = 2
                         else:
-                            to_mru = True
-                    else:
-                        entry = hl_pop(key, None)
-                        if entry is not None:
-                            esize, ghits, gflag, etime = entry
-                            h_l.bytes -= esize
-                            hl_pops += 1
-                            long_gap = (clock - etime) > gap_factor * tenure
-                            if not per_object:
-                                penalty = 2
-                                ghost_l += 1
-                            elif gflag == DENIED and ghits == 0 and long_gap:
-                                penalty = act = 1
-                            elif gflag == DEMOTED and long_gap:
-                                conf[key] = min(conf.get(key, 0) + 1, 3)
-                                penalty = 1
-                                to_mru = True
-                                act = 2
+                            flags = node.data or NORMAL
+                            if flags & SUSPECT:
+                                node.data = DEMOTED
+                                to_mru = False
+                                demotions += 1
+                                if emit is not None:
+                                    emit("episode_transition", key=key, to="DEMOTED")
                             else:
-                                if gflag == NORMAL:
-                                    penalty = 2
-                                    ghost_l += 1
-                                elif gflag == DEMOTED:
+                                if flags & DEMOTED:
                                     conf[key] = max(conf.get(key, 0) - 2, -4)
-                                to_mru = True
-                    if penalty:
-                        if penalty == 1:
-                            w_mru *= decay
-                            pen_mru += 1
+                                    released += 1
+                                    if emit is not None:
+                                        emit("episode_transition", key=key, to="RELEASED")
+                                node.data = flags & ~DENIED
+                                if threshold_mode:
+                                    to_mru = w_mru > promote_threshold
+                                else:
+                                    to_mru = (
+                                        w_mru >= promote_threshold
+                                        or select_draw() < w_mru / promote_threshold
+                                    )
+                        node.inserted_mru = to_mru
+                        if to_mru:
+                            node.stamp = clock  # promotion restarts the traversal clock
+                            head = sentinel.next
+                            node.prev = sentinel
+                            node.next = head
+                            head.prev = node
+                            sentinel.next = node
                         else:
-                            w_lru *= decay
-                            pen_lru += 1
-                        total = w_mru + w_lru
-                        if total <= 0.0:  # pragma: no cover - as PositionBandit._normalize
-                            w_mru = w_lru = 0.5
+                            tail = sentinel.prev
+                            node.next = sentinel
+                            node.prev = tail
+                            tail.next = node
+                            sentinel.prev = node
+                    else:
+                        hit = False
+                        if record:
+                            misses += 1
+                            bytes_missed += size
+                        need = 0
+                        admit = size <= capacity
+                        entry = None
+                        if not admit:
+                            if record:
+                                bypasses += 1
                         else:
-                            w_mru /= total
-                            w_lru = 1.0 - w_mru
-                            if w_mru < 0.01:
-                                w_mru = 0.01
-                                w_lru = 1.0 - 0.01
-                            elif w_lru < 0.01:
-                                w_lru = 0.01
-                                w_mru = 1.0 - 0.01
-                    if act == 1:
-                        if escape_draw() < escape:
-                            to_mru = True
-                            escaped += 1
+                            # Ghost evidence -> ω penalty, per-object action, position.
+                            need = size
+                            iflags = NORMAL
+                            penalty = act = 0  # penalty: 1 = ω_m, 2 = ω_l; act: 1 = deny, 2 = suspect
+                            to_mru = None
+                            entry = hm_pop(key, None)
+                            if entry is not None:
+                                esize, ghits, gflag, etime = entry
+                                h_m.bytes -= esize
+                                ghost_m += 1
+                                if emit is not None:
+                                    emit("ghost_hit", list="m", key=key, hits=ghits, flag=gflag,
+                                         age=clock - etime)
+                                if not per_object:
+                                    penalty = 1
+                                elif not (clock - etime) > gap_factor * tenure:
+                                    to_mru = True
+                                elif not use_hit_token or ghits == 0:
+                                    penalty = act = 1
+                                elif ghits == 1:
+                                    penalty = 1
+                                    to_mru = True
+                                    if conf.get(key, 0) >= 0:
+                                        act = 2
+                                else:
+                                    to_mru = True
+                            else:
+                                entry = hl_pop(key, None)
+                                if entry is not None:
+                                    esize, ghits, gflag, etime = entry
+                                    h_l.bytes -= esize
+                                    hl_pops += 1
+                                    if emit is not None:
+                                        emit("ghost_hit", list="l", key=key, hits=ghits, flag=gflag,
+                                             age=clock - etime)
+                                    long_gap = (clock - etime) > gap_factor * tenure
+                                    if not per_object:
+                                        penalty = 2
+                                        ghost_l += 1
+                                    elif gflag == DENIED and ghits == 0 and long_gap:
+                                        penalty = act = 1
+                                    elif gflag == DEMOTED and long_gap:
+                                        conf[key] = min(conf.get(key, 0) + 1, 3)
+                                        penalty = 1
+                                        to_mru = True
+                                        act = 2
+                                    else:
+                                        if gflag == NORMAL:
+                                            penalty = 2
+                                            ghost_l += 1
+                                        elif gflag == DEMOTED:
+                                            conf[key] = max(conf.get(key, 0) - 2, -4)
+                                        to_mru = True
+                            if penalty:
+                                if penalty == 1:
+                                    w_mru *= decay
+                                    pen_mru += 1
+                                else:
+                                    w_lru *= decay
+                                    pen_lru += 1
+                                total = w_mru + w_lru
+                                if total <= 0.0:  # pragma: no cover - e^{-λ} keeps ω > 0
+                                    w_mru = w_lru = 0.5
+                                else:
+                                    # normalise, then the exploration floor keeps
+                                    # both experts alive (EXP3)
+                                    w_mru /= total
+                                    w_lru = 1.0 - w_mru
+                                    if w_mru < 0.01:
+                                        w_mru = 0.01
+                                        w_lru = 1.0 - 0.01
+                                    elif w_lru < 0.01:
+                                        w_lru = 0.01
+                                        w_mru = 1.0 - 0.01
+                                if wemit is not None:
+                                    wemit("weight_update", side="mru" if penalty == 1 else "lru",
+                                          lam=lam, w_mru=w_mru, w_lru=w_lru)
+                            if act == 1:
+                                if escape_draw() < escape:
+                                    to_mru = True
+                                    escaped += 1
+                                    if emit is not None:
+                                        emit("episode_transition", key=key, to="ESCAPED")
+                                else:
+                                    to_mru = False
+                                    iflags = DENIED
+                                    denials += 1
+                                    if emit is not None:
+                                        emit("episode_transition", key=key, to="DENIED")
+                            elif act == 2:
+                                if escape_draw() < escape:
+                                    escaped += 1
+                                    if emit is not None:
+                                        emit("episode_transition", key=key, to="ESCAPED")
+                                else:
+                                    iflags = SUSPECT
+                                    suspects += 1
+                                    if emit is not None:
+                                        emit("episode_transition", key=key, to="SUSPECT")
+                            if to_mru is None:
+                                if threshold_mode:
+                                    to_mru = w_mru > 0.5
+                                else:
+                                    to_mru = w_mru > select_draw()
+                    if append is not None:
+                        append(hit)
+                    # Make room (an admission, or a hit whose object grew).
+                    while used + need > capacity and index:
+                        victim = sentinel.prev if choose is None else choose()
+                        p = victim.prev
+                        n = victim.next
+                        p.next = n
+                        n.prev = p
+                        vkey = victim.key
+                        vsize = victim.size
+                        del index[vkey]
+                        used -= vsize
+                        qbytes -= vsize
+                        count -= 1
+                        evictions += 1
+                        flags = victim.data or NORMAL
+                        if flags & DENIED:
+                            flag = DENIED
+                        elif flags & DEMOTED:
+                            flag = DEMOTED
                         else:
-                            to_mru = False
-                            iflags = DENIED
-                            denials += 1
-                    elif act == 2:
-                        if escape_draw() < escape:
-                            escaped += 1
+                            flag = NORMAL
+                        if victim.inserted_mru:
+                            tenure += 0.02 * ((clock - victim.stamp) - tenure)
+                            hist = h_m
                         else:
-                            iflags = SUSPECT
-                            suspects += 1
-                    if to_mru is None:
-                        if threshold_mode:
-                            to_mru = w_mru > 0.5
+                            hist = h_l
+                        entries = hist._entries
+                        hbytes = hist.bytes
+                        hcap = hist.capacity
+                        if vkey in entries:
+                            hbytes -= entries.pop(vkey)[0]
+                        while entries and hbytes + vsize > hcap:
+                            hbytes -= entries.popitem(last=False)[1][0]
+                        if vsize <= hcap:
+                            entries[vkey] = (vsize, victim.hit_token or 0, flag, clock)
+                            hbytes += vsize
+                        hist.bytes = hbytes
+                        if on_evicted is not None:
+                            on_evicted(vkey)
+                        if emit is not None:
+                            emit("evict", key=vkey, size=vsize, hits=victim.hit_token or 0,
+                                 mru=victim.inserted_mru)
+                        pool_append(victim)
+                    if admit:
+                        if pool:
+                            node = pool_pop()
+                            node.key = key
+                            node.size = size
+                            node.hit_token = 0
                         else:
-                            to_mru = w_mru > select_draw()
-            # Make room (an admitted miss, or a hit whose object grew).
-            while used + need > capacity and index:
-                victim = sentinel.prev
-                p = victim.prev
-                p.next = sentinel
-                sentinel.prev = p
-                vkey = victim.key
-                vsize = victim.size
-                del index[vkey]
-                used -= vsize
-                qbytes -= vsize
-                count -= 1
-                evictions += 1
-                flags = victim.data or NORMAL
-                if flags & DENIED:
-                    flag = DENIED
-                elif flags & DEMOTED:
-                    flag = DEMOTED
+                            node = node_cls(key, size)
+                        node.inserted_mru = to_mru
+                        node.data = iflags
+                        node.stamp = clock
+                        if to_mru:
+                            head = sentinel.next
+                            node.prev = sentinel
+                            node.next = head
+                            head.prev = node
+                            sentinel.next = node
+                        else:
+                            tail = sentinel.prev
+                            node.next = sentinel
+                            node.prev = tail
+                            tail.next = node
+                            sentinel.prev = node
+                        count += 1
+                        qbytes += size
+                        index[key] = node
+                        used += size
+                        if on_admitted is not None:
+                            on_admitted(key)
+                        if probe is not None:
+                            if emit is not None:
+                                emit("admit", key=key, size=size, mru=to_mru)
+                            else:
+                                admitted.append(size)
+                    if clock >= boundary:
+                        # UPDATELR, and the confidence map bounded to metadata scale.
+                        self.clock = clock  # lr.update's own events are stamped with it
+                        if folding:
+                            counted = (ghost_m, hl_pops, demotions, released, escaped,
+                                       denials, suspects, pen_mru + pen_lru)
+                            self._fold(admitted, victims, pool,
+                                       [c - f for c, f in zip(counted, folded)], w_mru, w_lru)
+                            folded = counted
+                        hit_rate = (hits - win_hits_from) / (clock - win_start)
+                        lam = lr_update(hit_rate, self._prev_hit_rate)
+                        decay = math.exp(-lam)
+                        self._prev_hit_rate = hit_rate
+                        win_start = self._win_start = clock
+                        win_hits_from = self._win_hits_from = hits
+                        boundary = clock + update_interval
+                        if len(conf) > 4 * (len(hm_entries) + len(hl_entries)) + 4096:
+                            known = set(hm_entries) | set(hl_entries) | set(index)
+                            conf = self._pzro_conf = {
+                                k: v for k, v in conf.items() if k in known
+                            }
+                if chunked:
+                    if folding:
+                        counted = (ghost_m, hl_pops, demotions, released, escaped,
+                                   denials, suspects, pen_mru + pen_lru)
+                        self._fold(admitted, victims, pool,
+                                   [c - f for c, f in zip(counted, folded)], w_mru, w_lru)
+                    return
+                # One step: write back what it changed.
+                if hit:
+                    st.hits = hits
+                    st.bytes_hit = bytes_hit
+                    self.pzro_demotions = demotions
+                    if resized or evictions != st.evictions:
+                        self.used = used
+                        queue.bytes = qbytes
+                        queue._count = count
+                        st.evictions = evictions
+                        self._tenure_ewma = tenure
                 else:
-                    flag = NORMAL
-                if victim.inserted_mru:
-                    tenure += 0.02 * ((clock - victim.stamp) - tenure)
-                    hist = h_m
-                else:
-                    hist = h_l
-                entries = hist._entries
-                hbytes = hist.bytes
-                hcap = hist.capacity
-                if vkey in entries:
-                    hbytes -= entries.pop(vkey)[0]
-                while entries and hbytes + vsize > hcap:
-                    hbytes -= entries.popitem(last=False)[1][0]
-                if vsize <= hcap:
-                    entries[vkey] = (vsize, victim.hit_token or 0, flag, clock)
-                    hbytes += vsize
-                hist.bytes = hbytes
-                pool_append(victim)
-            if admit:
-                if pool:
-                    node = pool_pop()
-                    node.key = key
-                    node.size = size
-                    node.hit_token = 0
-                else:
-                    node = node_cls(key, size)
-                node.inserted_mru = to_mru
-                node.data = iflags
-                node.stamp = clock
-                if to_mru:
-                    head = sentinel.next
-                    node.prev = sentinel
-                    node.next = head
-                    head.prev = node
-                    sentinel.next = node
-                else:
-                    tail = sentinel.prev
-                    node.next = sentinel
-                    node.prev = tail
-                    tail.next = node
-                    sentinel.prev = node
-                count += 1
-                qbytes += size
-                index[key] = node
-                used += size
-            if clock >= boundary:
-                # UPDATELR, and the confidence map bounded to metadata scale.
-                if probe is not None:
-                    self.clock = clock  # lr.update's own events are stamped with it
-                    self._fold_window(sizes[folded:clock - first], decisions, victims, pool, out)
-                    folded = clock - first
-                hit_rate = (hits - win_hits_from) / (clock - win_start)
-                lam = lr_update(hit_rate, self._prev_hit_rate)
-                decay = math.exp(-lam)
-                self._prev_hit_rate = hit_rate
-                win_start = clock
-                win_hits_from = hits
-                boundary = clock + update_interval
-                if len(conf) > 4 * (len(hm_entries) + len(hl_entries)) + 4096:
-                    known = set(hm_entries) | set(hl_entries) | set(index)
-                    conf = self._pzro_conf = {
-                        k: v for k, v in conf.items() if k in known
-                    }
-        if probe is not None:
-            self._fold_window(sizes[folded:], decisions, victims, pool, out)
-            ghosts = {"m": ghost_m, "l": hl_pops}
-            probe.fold("ghost_hit", sum(ghosts.values()), list=ghosts)
+                    st.misses = misses
+                    st.bytes_missed = bytes_missed
+                    st.bypasses = bypasses
+                    self.used = used
+                    queue.bytes = qbytes
+                    queue._count = count
+                    st.evictions = evictions
+                    self._tenure_ewma = tenure
+                    if entry is not None:
+                        self.ghost_hits_m = ghost_m
+                        self.ghost_hits_l = ghost_l
+                        self.zro_denials = denials
+                        bandit.w_mru = w_mru
+                        bandit.w_lru = w_lru
+                        bandit.penalties_mru = pen_mru
+                        bandit.penalties_lru = pen_lru
+                decision = hit
+        finally:
+            # Parked, at the end of a chunk, or stopped by an exception: the
+            # instance takes every local back.
+            self.used = used
+            self.clock = clock
+            queue.bytes = qbytes
+            queue._count = count
+            st.hits, st.misses, st.bytes_hit = hits, misses, bytes_hit
+            st.bytes_missed, st.evictions, st.bypasses = bytes_missed, evictions, bypasses
+            self.ghost_hits_m, self.ghost_hits_l = ghost_m, ghost_l
+            self.zro_denials, self.pzro_demotions = denials, demotions
+            self._tenure_ewma = tenure
+            bandit.w_mru, bandit.w_lru = w_mru, w_lru
+            bandit.penalties_mru, bandit.penalties_lru = pen_mru, pen_lru
+            # Cut pooled nodes loose so they don't pin ring neighbours.
+            for n in pool:
+                n.prev = None
+                n.next = None
+            if not chunked:
+                self.__dict__.pop("_send", None)
+
+    def _fold(self, admitted: list, victims: list, pool: list, counts: list,
+              w_mru: float, w_lru: float) -> None:
+        """Hand the folding probes what a chunk counted since the last fold —
+        ``counts`` in the order ghost ``m``, ghost ``l``, DEMOTED, RELEASED,
+        ESCAPED, DENIED, SUSPECT, penalties — with the admitted sizes and
+        the victims, then let go of them: the victims join the ``pool``."""
+        ghost_m, ghost_l, demoted, released, escaped, denied, suspected, penalties = counts
+        probe = self._probe
+        if probe is not None and probe.folds:
+            probe.fold("admit", len(admitted), size=admitted)
+            probe.fold(
+                "evict",
+                len(victims),
+                size=[victim.size for victim in victims],
+                hits=[victim.hit_token for victim in victims],
+            )
+            probe.fold("ghost_hit", ghost_m + ghost_l, list={"m": ghost_m, "l": ghost_l})
             episodes = {
-                "DEMOTED": demotions,
+                "DEMOTED": demoted,
                 "RELEASED": released,
                 "ESCAPED": escaped,
-                "DENIED": denials,
-                "SUSPECT": suspects,
+                "DENIED": denied,
+                "SUSPECT": suspected,
             }
             probe.fold("episode_transition", sum(episodes.values()), to=episodes)
+        bprobe = self.bandit._probe
+        if bprobe is not None and bprobe.folds:
             # ω moves only under a penalty: the pair now is the last update's.
-            probe.fold("weight_update", pen_mru + pen_lru, w_mru=w_mru, w_lru=w_lru)
-        # Cut leftover pooled nodes loose so they don't pin ring neighbours.
-        for n in pool:
-            n.prev = None
-            n.next = None
-        self.used = used
-        self.clock = clock
-        queue.bytes = qbytes
-        queue._count = count
-        st = self.stats
-        st.hits += hits
-        st.misses += misses
-        st.bytes_hit += bytes_hit
-        st.bytes_missed += bytes_missed
-        st.evictions += evictions
-        st.bypasses += bypasses
-        self._win_reqs = clock - win_start
-        self._win_hits = hits - win_hits_from
-        self.ghost_hits_m += ghost_m
-        self.ghost_hits_l += ghost_l
-        self.zro_denials += denials
-        self.pzro_demotions += demotions
-        self._tenure_ewma = tenure
-        bandit.w_mru = w_mru
-        bandit.w_lru = w_lru
-        bandit.penalties_mru += pen_mru
-        bandit.penalties_lru += pen_lru
+            bprobe.fold("weight_update", penalties, w_mru=w_mru, w_lru=w_lru)
+        admitted.clear()
+        pool.extend(victims)
+        victims.clear()
 
     # -- introspection ------------------------------------------------------------------
     @property

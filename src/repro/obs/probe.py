@@ -5,29 +5,32 @@ Instrumented components (``SCIPCache``, ``PositionBandit``,
 ``_probe = None`` attribute — the module-level no-op.  Attaching a probe
 shadows it with an instance attribute; every hook point in the hot code is
 therefore exactly one ``if self._probe is not None`` branch when tracing is
-off.  The bulk-replay loops pass the hook points by, so which path an
-observed policy takes is read off the probe's sinks, never set: a sink
-that needs records (ring buffer, JSONL, snapshots, anything with only
-``write``) selects the per-request hook path, while a probe whose sinks all
-take aggregates (:attr:`Probe.folds` — the lone ``RegistryRecorder`` a
-default ``ObsConfig()`` builds) rides inside
-:meth:`SCIPCache.replay_columns <repro.core.scip.SCIPCache.replay_columns>`,
-which counts as it goes and hands over one :meth:`Probe.fold` per event
-name at window edges.  The unobserved loop pays for none of it, and the
-LRU loop (:meth:`repro.cache.base.QueueCache._fast_replay_eligible`) still
-steps aside for any probe.
+off.  SCIP's events all come from its one kernel
+(:meth:`SCIPCache._kernel <repro.core.scip.SCIPCache._kernel>`), which has
+an emit site for each: per request it emits records, and over a chunk's
+columns it emits them only to a probe with a sink that needs records
+(ring buffer, JSONL, snapshots, anything with only ``write``) — a probe
+whose sinks all take aggregates (:attr:`Probe.folds` — the lone
+``RegistryRecorder`` a default ``ObsConfig()`` builds) is handed counts
+through :meth:`Probe.fold` at window edges instead.  Which happens is read
+off the probe's sinks, never set.  The LRU loop
+(:meth:`repro.cache.base.QueueCache._fast_replay_eligible`) still steps
+aside for any probe.
 
 Event vocabulary (see ``docs/obs_schema.md`` for the field tables):
 
 ==================== ==========================================================
 event                emitted by
 ==================== ==========================================================
-``admit``            ``QueueCache._miss`` — object inserted (MRU or LRU end)
-``evict``            ``QueueCache.evict_node`` — victim left the cache
-``ghost_hit``        ``SCIPCache._miss`` — re-request found in H_m / H_l
-``episode_transition`` SCIP per-object machine: DENIED / SUSPECT / DEMOTED /
-                     RELEASED / ESCAPED
-``weight_update``    ``PositionBandit.penalize_*`` — ω pair after a penalty
+``admit``            ``QueueCache._miss``, SCIP's kernel — object inserted
+                     (MRU or LRU end)
+``evict``            ``QueueCache.evict_node``, SCIP's kernel — victim left
+                     the cache
+``ghost_hit``        SCIP's kernel — re-request found in H_m / H_l
+``episode_transition`` SCIP's kernel, the per-object machine: DENIED /
+                     SUSPECT / DEMOTED / RELEASED / ESCAPED
+``weight_update``    SCIP's kernel, to the bandit's probe — ω pair after a
+                     penalty
 ``lambda_update``    ``LearningRateController.update`` — λ after UPDATELR
 ``lambda_restart``   the Algorithm-2 random restart inside UPDATELR
 ``snapshot``         :class:`repro.obs.sinks.SnapshotEmitter` — registry dump

@@ -19,8 +19,8 @@ where the benchmark ledger replays it (``replay-lru-stream``, ``replay-scip``
 and the 100 M-request run): LRU's is the one array re-implementation of a
 registry policy in the repo and takes the ndarray columns as they come
 (``process_chunk(keys, sizes, out)``); SCIP's entry *is* the registry
-:class:`~repro.core.scip.SCIPCache`, whose ``replay_columns`` is one inlined
-loop over the policy's own queue, history lists, bandit and RNG — its tail
+:class:`~repro.core.scip.SCIPCache`, whose ``replay_columns`` runs SCIP's one
+kernel over the policy's own queue, history lists, bandit and RNG — its tail
 insertions (denials, demotions) and data-dependent RNG draws break the
 monotone boundary the array model needs.  Every other name, FIFO, CLOCK and
 SIEVE included, streams through its own ``replay_columns``.

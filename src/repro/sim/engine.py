@@ -157,11 +157,12 @@ def simulate(
         snapshot lands in ``SimResult.obs``, and — if ``manifest_out`` is
         set — a run manifest is written.  Decisions are unchanged.  Which
         replay path runs is read off the sinks the config builds: ``ring``,
-        ``trace_out`` and ``snapshot_every`` need every record, so the
-        bulk loop gives way to the instrumented per-request path; a config
-        with none of them (``ObsConfig()``, with or without
-        ``manifest_out``) only feeds the registry, and SCIP's column loop
-        folds that in as it goes (LRU's loop still steps aside).
+        ``trace_out`` and ``snapshot_every`` need every record, which SCIP's
+        kernel emits as it goes and for which LRU's loop gives way to the
+        instrumented per-request path; a config with none of them
+        (``ObsConfig()``, with or without ``manifest_out``) only feeds the
+        registry, and SCIP's kernel folds that in over a chunk (LRU's loop
+        still steps aside).
     """
     if fast and (interval > 0 or measure_memory):
         raise ValueError(

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.learning import LAMBDA_MAX, LAMBDA_MIN, LearningRateController
+from repro.core.scip import SCIPCache
 
 
 class TestUpdateLR:
@@ -72,6 +73,16 @@ class TestUpdateLR:
             LearningRateController(initial=0.0)
         with pytest.raises(ValueError):
             LearningRateController(initial=1.5)
+
+    def test_unlearn_limit_below_one_rejected(self):
+        """A limit under 1 would restart λ on every window whose δ is 0,
+        even one whose hit rate improved — refused when built, by the
+        controller and by the policies that build one."""
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="unlearn_limit"):
+                LearningRateController(unlearn_limit=limit)
+            with pytest.raises(ValueError, match="unlearn_limit"):
+                SCIPCache(100, unlearn_limit=limit)
 
     def test_history_shifts(self):
         c = LearningRateController(initial=0.1)

@@ -1,4 +1,4 @@
-"""Property-based tests of the Algorithm 2 controller and the bandit."""
+"""Property-based tests of the Algorithm 2 controller."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.learning import LAMBDA_MAX, LAMBDA_MIN, LearningRateController
-from repro.core.mab import PositionBandit
 
 rates = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -21,37 +20,6 @@ def test_lambda_always_in_bounds(updates, seed):
         lam = c.update(now, prev)
         assert LAMBDA_MIN <= lam <= LAMBDA_MAX
         assert c.unlearn_count <= c.unlearn_limit
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.sampled_from(["m", "l"]), min_size=1, max_size=300),
-    st.floats(min_value=0.001, max_value=1.0),
-)
-def test_bandit_normalised_under_any_penalty_stream(events, lam):
-    b = PositionBandit(initial_w_mru=0.5)
-    for e in events:
-        if e == "m":
-            b.penalize_mru(lam)
-        else:
-            b.penalize_lru(lam)
-        assert abs(b.w_mru + b.w_lru - 1.0) < 1e-9
-        assert 0.0 < b.w_mru < 1.0
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 60), st.integers(1, 60))
-def test_bandit_monotone_in_evidence(n_m, n_l):
-    """More MRU penalties (relative to LRU ones) never raise ω_m."""
-    def final_w(nm, nl):
-        b = PositionBandit(initial_w_mru=0.5)
-        for _ in range(nm):
-            b.penalize_mru(0.2)
-        for _ in range(nl):
-            b.penalize_lru(0.2)
-        return b.w_mru
-
-    assert final_w(n_m + 1, n_l) <= final_w(n_m, n_l) + 1e-9
 
 
 @settings(max_examples=60, deadline=None)

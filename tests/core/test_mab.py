@@ -1,13 +1,28 @@
-"""PositionBandit (two-expert MAB) unit tests."""
+"""The two-expert MAB: PositionBandit's state, and the update and selection
+rules SCIP's kernel applies to it (driven through ``SCIPCache``)."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.cache.base import LRU_POS, MRU_POS
 from repro.core.mab import PositionBandit
+from repro.core.scip import SCIPCache
+from repro.sim.request import Request
+
+#: One 10-byte object fits: every new key evicts the resident one.
+ONE = 10
+
+
+def scip(capacity=ONE, mode="threshold", **kw):
+    kw.setdefault("update_interval", 10**9)  # λ stays where it starts
+    p = SCIPCache(capacity, **kw)
+    p.bandit.mode = mode
+    return p
+
+
+def feed(p, keys):
+    for k in keys:
+        p.request(Request(p.clock, k, 10))
 
 
 class TestWeights:
@@ -16,31 +31,40 @@ class TestWeights:
         assert b.w_mru + b.w_lru == pytest.approx(1.0)
 
     def test_penalize_mru_decreases_w_mru(self):
-        b = PositionBandit(initial_w_mru=0.5)
-        b.penalize_mru(0.5)
-        assert b.w_mru < 0.5
-        assert b.w_mru + b.w_lru == pytest.approx(1.0)
+        # Algorithm 1 literal: an H_m ghost hit penalises the MRU expert.
+        p = scip(initial_w_mru=0.6, per_object=False, initial_lambda=0.5)
+        feed(p, [1, 2, 1])
+        assert p.bandit.penalties_mru == 1
+        assert p.w_mru < 0.6
+        assert p.w_mru + p.bandit.w_lru == pytest.approx(1.0)
 
     def test_penalize_lru_increases_w_mru(self):
-        b = PositionBandit(initial_w_mru=0.5)
-        b.penalize_lru(0.5)
-        assert b.w_mru > 0.5
+        p = scip(initial_w_mru=0.4, per_object=False, initial_lambda=0.5)
+        feed(p, [1, 2, 1])  # inserted at LRU, so an H_l ghost
+        assert p.bandit.penalties_lru == 1
+        assert p.w_mru > 0.4
 
     def test_floor_keeps_both_alive(self):
-        b = PositionBandit(initial_w_mru=0.5)
-        for _ in range(200):
-            b.penalize_mru(1.0)
-        assert b.w_mru >= 0.01
-        # And it can recover.
-        for _ in range(200):
-            b.penalize_lru(1.0)
-        assert b.w_mru > 0.5
+        # A recurring ZRO pair, every return a long-gap, zero-token ghost:
+        # each request penalises the MRU expert at λ = 1.
+        p = scip(escape=0.0, deny_gap_factor=0.0, initial_lambda=1.0)
+        feed(p, [1, 2] * 100)
+        assert p.bandit.penalties_mru >= 190
+        assert p.w_mru == 0.01
+        # And it can recover: fresh keys now go in at LRU, and each return
+        # of an LRU-placed one penalises the LRU expert.
+        for i in range(200):
+            a, b = 1_000 + 2 * i, 1_001 + 2 * i
+            feed(p, [a, b, a])
+            if p.w_mru > 0.5:
+                break
+        assert p.w_mru > 0.5
 
     def test_penalty_counters(self):
-        b = PositionBandit()
-        b.penalize_mru(0.1)
-        b.penalize_lru(0.1)
-        assert b.penalties_mru == 1 and b.penalties_lru == 1
+        p = scip(initial_w_mru=0.51, per_object=False, initial_lambda=1.0)
+        feed(p, [1, 2, 1])  # H_m ghost: ω_m falls below 0.5
+        feed(p, [3, 1])  # 1 went back in at LRU: an H_l ghost
+        assert p.bandit.penalties_mru == 1 and p.bandit.penalties_lru == 1
 
     def test_invalid_initial(self):
         with pytest.raises(ValueError):
@@ -53,31 +77,39 @@ class TestWeights:
             PositionBandit(mode="coin-flip")
 
 
+def inserted_at_mru(p, keys):
+    feed(p, keys)
+    return [p.index[k].inserted_mru for k in keys]
+
+
 class TestSelect:
     def test_threshold_mode_deterministic(self):
-        b = PositionBandit(initial_w_mru=0.9, mode="threshold")
-        assert all(b.select() == MRU_POS for _ in range(20))
-        b.w_mru, b.w_lru = 0.3, 0.7
-        assert all(b.select() == LRU_POS for _ in range(20))
+        assert all(inserted_at_mru(scip(10**6, initial_w_mru=0.9), range(20)))
+        assert not any(inserted_at_mru(scip(10**6, initial_w_mru=0.3), range(20)))
 
     def test_bernoulli_mode_frequency(self):
-        b = PositionBandit(initial_w_mru=0.7, rng=random.Random(0), mode="bernoulli")
-        picks = [b.select() for _ in range(5_000)]
-        frac_mru = sum(p == MRU_POS for p in picks) / len(picks)
-        assert 0.65 < frac_mru < 0.75
+        picks = inserted_at_mru(scip(10**8, "bernoulli", initial_w_mru=0.7), range(5_000))
+        assert 0.65 < sum(picks) / len(picks) < 0.75
 
     def test_promotion_threshold_asymmetric(self):
-        b = PositionBandit(initial_w_mru=0.3, mode="threshold")
-        # Insertion at w=0.3 goes LRU, but promotion (threshold 0.2) stays MRU.
-        assert b.select() == LRU_POS
-        assert b.select_promotion(0.2) == MRU_POS
-        b.w_mru = 0.1
-        assert b.select_promotion(0.2) == LRU_POS
+        # Insertion at ω_m = 0.3 goes LRU, but promotion (threshold 0.2) stays MRU.
+        p = scip(100, initial_w_mru=0.3, promote_threshold=0.2)
+        feed(p, [1])
+        assert not p.index[1].inserted_mru
+        feed(p, [1])
+        assert p.index[1].inserted_mru
+        p = scip(100, initial_w_mru=0.1, promote_threshold=0.2)
+        feed(p, [1, 1])
+        assert not p.index[1].inserted_mru
 
     def test_promotion_threshold_zero_never_demotes(self):
-        b = PositionBandit(initial_w_mru=0.011, mode="threshold")
-        assert b.select_promotion(0.0) == MRU_POS
+        p = scip(100, initial_w_mru=0.011, promote_threshold=0.0)
+        feed(p, [1, 1])
+        assert p.index[1].inserted_mru
 
     def test_promotion_bernoulli_rescaled(self):
-        b = PositionBandit(initial_w_mru=0.9, rng=random.Random(1), mode="bernoulli")
-        assert all(b.select_promotion(0.2) == MRU_POS for _ in range(50))
+        p = scip(100, "bernoulli", initial_w_mru=0.9, promote_threshold=0.2)
+        feed(p, [1])
+        for _ in range(50):
+            feed(p, [1])
+            assert p.index[1].inserted_mru

@@ -66,6 +66,14 @@ class TestSCIPLRUK:
         assert not p.contains(3)  # infinite K-distance victim
         assert p.contains(1) and p.contains(2)
 
+    def test_sample_below_one_rejected(self):
+        """An empty inspection window has no victim to offer: refused when
+        built, not at the first eviction."""
+        for cls in (SCIPLRUK, ASCIPLRUK):
+            for sample in (0, -3):
+                with pytest.raises(ValueError, match="sample"):
+                    cls(100, sample=sample)
+
     def test_runs_clean_on_cdn(self, cdn_t_small):
         p = SCIPLRUK(int(cdn_t_small.working_set_size * 0.02))
         for r in cdn_t_small:

@@ -1,14 +1,17 @@
-"""The oracle for folding: a registry-only probe rides inside SCIP's column
-loop, and what it leaves in the registry must be what the per-event hook
-path leaves there.
+"""The oracle for folding: a registry-only probe rides inside SCIP's kernel
+over a chunk's columns, and what it leaves in the registry must be what the
+same kernel's per-event emit sites leave there.
 
 Every case runs the same requests twice — once under ``Probe([recorder])``
-(all sinks fold, so :meth:`SCIPCache.replay_columns` counts and reports
-aggregates) and once with a ``RingBufferSink`` beside the recorder (a sink
-that needs records, which selects the hook path) — and compares the whole
+(all sinks fold, so the chunk-driven kernel counts and reports aggregates
+through :meth:`SCIPCache._fold <repro.core.scip.SCIPCache._fold>`) and once
+with a ``RingBufferSink`` beside the recorder (a sink that needs records,
+which the kernel builds at its emit sites) — and compares the whole
 ``registry.snapshot()`` and ``probe.seq`` with ``==``: every counter, gauge
-and each histogram's buckets/count/sum/min/max.  The two paths share the
-instruments and nothing else.
+and each histogram's buckets/count/sum/min/max.  The two share the
+instruments and nothing else; the emit side is anchored to the record
+stream pinned before the two drivers became one kernel
+(``tests/sim/test_scip_family_pins.py::test_event_stream``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ def _observe(keys, sizes, capacity, chunk=None, events=None, bernoulli=False, **
         if bernoulli:
             policy.bandit.mode = "bernoulli"
         policy.attach_probe(probe)
-        assert policy._fast_replay_eligible() == (not needs_records)
         step = chunk or max(len(keys), 1)
         for lo in range(0, len(keys), step):
             policy.replay_columns(keys[lo:lo + step], sizes[lo:lo + step])
@@ -62,8 +64,8 @@ def _columns(trace):
 def test_golden_trace_in_any_chunking(cdn_t_small, fraction, chunk):
     keys, sizes = _columns(cdn_t_small)
     capacity = max(int(cdn_t_small.working_set_size * fraction), 1)
-    folded, hooked = _observe(keys, sizes, capacity, chunk=chunk)
-    assert folded == hooked
+    folded, emitted = _observe(keys, sizes, capacity, chunk=chunk)
+    assert folded == emitted
     snapshot, seq = folded
     assert seq == sum(c["value"] for c in snapshot["events"].values())
     # the golden trace walks the whole per-object machine
@@ -86,8 +88,8 @@ def test_golden_trace_in_any_chunking(cdn_t_small, fraction, chunk):
 def test_policy_variants(cdn_t_small, variant):
     keys, sizes = _columns(cdn_t_small)
     capacity = max(int(cdn_t_small.working_set_size * 0.02), 1)
-    folded, hooked = _observe(keys[:8000], sizes[:8000], capacity, chunk=1999, **variant)
-    assert folded == hooked
+    folded, emitted = _observe(keys[:8000], sizes[:8000], capacity, chunk=1999, **variant)
+    assert folded == emitted
     assert folded[1] > 0
 
 
@@ -95,8 +97,8 @@ def test_policy_variants(cdn_t_small, variant):
 def test_event_filter_is_honoured_per_event_name(cdn_t_small, events):
     keys, sizes = _columns(cdn_t_small)
     capacity = max(int(cdn_t_small.working_set_size * 0.02), 1)
-    folded, hooked = _observe(keys, sizes, capacity, events=events)
-    assert folded == hooked
+    folded, emitted = _observe(keys, sizes, capacity, events=events)
+    assert folded == emitted
     snapshot, seq = folded
     assert {label.partition("=")[2] for label in snapshot.get("events", {})} == set(events)
     assert (seq > 0) == bool(events)
@@ -122,11 +124,11 @@ streams = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 700)), min_size=
 def test_generated_traces(data, capacity, history_fraction, gap_factor, chunk, seed):
     keys = [k for k, _ in data]
     sizes = [s for _, s in data]
-    folded, hooked = _observe(
+    folded, emitted = _observe(
         keys, sizes, capacity, chunk=chunk, seed=seed, update_interval=16,
         history_fraction=history_fraction, deny_gap_factor=gap_factor,
     )
-    assert folded == hooked
+    assert folded == emitted
 
 
 def test_generated_traces_reach_the_rare_branches():
@@ -144,8 +146,8 @@ def test_generated_traces_reach_the_rare_branches():
         if policy.request(Request(i, key, size)) and policy.stats.evictions > evictions:
             evicting_hits += 1
     assert evicting_hits and policy.stats.bypasses and policy.zro_denials and policy.pzro_demotions
-    folded, hooked = _observe(keys, sizes, 650, **scip)
-    assert folded == hooked
+    folded, emitted = _observe(keys, sizes, 650, **scip)
+    assert folded == emitted
     assert folded[0]["events"]["event=admit"]["value"] == policy.stats.misses - policy.stats.bypasses
 
 
@@ -153,10 +155,10 @@ def test_generated_traces_reach_the_rare_branches():
 def test_through_simulate_with_a_warmup_inside_the_trace(cdn_t_small, warmup):
     capacity = max(int(cdn_t_small.working_set_size * 0.02), 1)
     folded = simulate(SCIPCache(capacity), cdn_t_small, warmup=warmup, obs=ObsConfig())
-    hooked = simulate(SCIPCache(capacity), cdn_t_small, warmup=warmup, obs=ObsConfig(ring=8))
-    assert folded.obs == hooked.obs
+    emitted = simulate(SCIPCache(capacity), cdn_t_small, warmup=warmup, obs=ObsConfig(ring=8))
+    assert folded.obs == emitted.obs
     assert folded.obs["events_emitted"] > 0
-    assert (folded.miss_ratio, folded.byte_miss_ratio) == (hooked.miss_ratio, hooked.byte_miss_ratio)
+    assert (folded.miss_ratio, folded.byte_miss_ratio) == (emitted.miss_ratio, emitted.byte_miss_ratio)
 
 
 def test_recorder_fold_equals_repeated_write():

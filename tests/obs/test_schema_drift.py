@@ -34,8 +34,9 @@ def emitted_event_names() -> set:
     names = set()
     for path in SRC.rglob("*.py"):
         text = path.read_text()
-        # probe.emit("name", ...) — possibly split across lines.
-        names.update(re.findall(r'\.emit\(\s*"([a-z_]+)"', text))
+        # probe.emit("name", ...), or a bound emit held in a local —
+        # possibly split across lines.
+        names.update(re.findall(r'emit\(\s*"([a-z_]+)"', text))
         # Directly constructed records ({"event": "snapshot", ...}, headers).
         names.update(re.findall(r'"event":\s*"([a-z_]+)"', text))
     return names - _EXEMPT

@@ -1,15 +1,18 @@
 """Bit-exactness harness: the chunk-streaming driver vs the rich engine.
 
 The dedicated cores in :mod:`repro.sim.batch` are an independent
-reimplementation of LRU over structure-of-arrays chunks, plus SCIP's
-inlined column loop over the policy's own state (its row holds the registry
-``SCIPCache``); nothing about them is allowed to be "approximately" right.
-The oracle is the rich policy driven one ``request()`` call at a time —
-never ``replay``, which for LRU and SCIP is itself an inlined loop.  For the
-five names that have ever had a dedicated core (:data:`STREAMED`; FIFO,
-CLOCK and SIEVE now stream through their registry policy's
-``replay_columns``, and stay here so that path is held to the same pins)
-this harness replays the same trace through both and asserts **identical**:
+reimplementation of LRU over structure-of-arrays chunks, plus SCIP's kernel
+driven by a chunk's columns (its row holds the registry ``SCIPCache``);
+nothing about them is allowed to be "approximately" right.  The oracle is
+the rich policy driven one ``request()`` call at a time — never ``replay``,
+which for LRU and SCIP is itself an inlined loop — and, for SCIP, whose
+per-request and bulk drivers run one kernel, the naive transcription
+:class:`tests.core.scip_reference.ReferenceSCIP`, which shares no code with
+it.  For the five names that have ever had a dedicated core
+(:data:`STREAMED`; FIFO, CLOCK and SIEVE now stream through their registry
+policy's ``replay_columns``, and stay here so that path is held to the same
+pins) this harness replays the same trace through both and asserts
+**identical**:
 
 * per-request hit/miss decision streams,
 * aggregate stats (hits, misses, evictions, bypasses, byte counters),
@@ -54,8 +57,10 @@ from repro.sim.engine import simulate
 from repro.sim.metrics import MetricsCollector
 from repro.sim.request import requests_from_arrays
 from repro.traces.cdn import make_workload
+from tests.core.scip_reference import ReferenceSCIP, assert_same_state, scip_state
 from tests.sim.test_golden_traces import GOLDEN as GOLDEN_SHA
 from tests.sim.test_golden_traces import _hit_seq_sha256
+from tests.sim.test_scip_family_pins import PINS as SCIP_FAMILY
 
 RICH = {
     "LRU": LRUCache,
@@ -81,31 +86,6 @@ def _resident(policy):
     return list(ring.keys())
 
 
-def scip_state(policy):
-    """Everything a SCIP instance carries from one request to the next."""
-    lr, bandit = policy.lr, policy.bandit
-    return {
-        "nodes": [
-            (n.key, n.size, n.inserted_mru, n.hit_token, n.data, n.stamp)
-            for n in policy.queue
-        ],
-        "queue": (len(policy.queue), policy.queue.bytes),
-        "h_m": (list(policy.h_m._entries.items()), policy.h_m.bytes),
-        "h_l": (list(policy.h_l._entries.items()), policy.h_l.bytes),
-        "weights": (policy.w_mru, bandit.w_lru, bandit.penalties_mru, bandit.penalties_lru),
-        "lambda": (
-            policy.learning_rate, lr._prev, lr._prev2, lr.unlearn_count, lr.updates, lr.restarts
-        ),
-        "window": (policy._win_hits, policy._win_reqs, policy._prev_hit_rate),
-        "diagnostics": (
-            policy.ghost_hits_m, policy.ghost_hits_l, policy.zro_denials, policy.pzro_demotions
-        ),
-        "tenure_ewma": policy._tenure_ewma,
-        "pzro_conf": policy._pzro_conf,
-        "rng": policy._rng.getstate(),
-    }
-
-
 def assert_same_end_state(name, rich, batch):
     for field in _STAT_FIELDS:
         assert getattr(rich.stats, field) == getattr(batch.stats, field), (
@@ -117,9 +97,7 @@ def assert_same_end_state(name, rich, batch):
     assert len(rich) == len(batch)
     assert _resident(rich) == _resident(batch), f"{name}: resident order differs"
     if name == "SCIP":
-        want, got = scip_state(rich), scip_state(batch)
-        for part in want:
-            assert want[part] == got[part], f"SCIP: {part} differs"
+        assert scip_state(batch) == scip_state(rich)
         batch.check_invariants()
 
 
@@ -147,6 +125,10 @@ def assert_equivalent(name, keys, sizes, cap, chunk):
 
     assert out_rich == out_batch, f"{name}: decision streams differ"
     assert_same_end_state(name, rich, batch)
+    if name == "SCIP":
+        oracle = ReferenceSCIP(cap)
+        assert [oracle.request(k, s) for k, s in zip(keys.tolist(), sizes.tolist())] == out_batch
+        assert_same_state(batch, oracle)
     return batch
 
 
@@ -445,16 +427,15 @@ class TestEveryPolicyStreams:
 
 class TestScipLoop:
     """`SCIPCache.replay_columns` fed directly, on the configurations the
-    registry default does not reach, and the instances that must not take it."""
+    registry default does not reach, against the reference transcription."""
 
     @staticmethod
-    def _pair(golden, configure, cap_div=50, **kwargs):
+    def _pair(golden, mode="threshold", cap_div=50, **kwargs):
         keys, sizes, wss = golden
         cap = max(wss // cap_div, 1)
-        hooks, loop = SCIPCache(cap, **kwargs), SCIPCache(cap, **kwargs)
-        for policy in (hooks, loop):
-            configure(policy)
-        return keys.tolist(), sizes.tolist(), hooks, loop
+        policy = SCIPCache(cap, **kwargs)
+        policy.bandit.mode = mode
+        return keys.tolist(), sizes.tolist(), policy, ReferenceSCIP(cap, mode=mode, **kwargs)
 
     @pytest.mark.parametrize(
         "kwargs, mode",
@@ -469,37 +450,33 @@ class TestScipLoop:
     )
     @pytest.mark.parametrize("chunk", [1 << 20, 337])
     def test_variants_state_exact(self, golden, kwargs, mode, chunk):
-        def configure(policy):
-            policy.bandit.mode = mode
-
-        keys, sizes, hooks, loop = self._pair(golden, configure, **kwargs)
-        want = [hooks.request(req) for req in requests_from_arrays(keys, sizes)]
+        keys, sizes, loop, oracle = self._pair(golden, mode, **kwargs)
+        want = [oracle.request(k, s) for k, s in zip(keys, sizes)]
         got: list = []
         for lo in range(0, len(keys), chunk):
             loop.replay_columns(keys[lo : lo + chunk], sizes[lo : lo + chunk], got)
         assert got == want
-        assert_same_end_state("SCIP", hooks, loop)
+        assert_same_state(loop, oracle)
+        loop.check_invariants()
 
     def test_confidence_map_is_pruned_at_the_same_window(self, golden):
-        def configure(policy):
-            # over the 4 * ghosts + 4096 bound from the first window on
-            policy._pzro_conf = {-k: 1 for k in range(1, 200_000)}
-
-        keys, sizes, hooks, loop = self._pair(golden, configure)
-        for req in requests_from_arrays(keys, sizes):
-            hooks.request(req)
+        keys, sizes, loop, oracle = self._pair(golden)
+        # over the 4 * ghosts + 4096 bound from the first window on
+        loop._pzro_conf.update({-k: 1 for k in range(1, 200_000)})
+        oracle.conf.update({-k: 1 for k in range(1, 200_000)})
+        for k, s in zip(keys, sizes):
+            oracle.request(k, s)
         loop.replay_columns(keys, sizes)
         assert len(loop._pzro_conf) < 10_000
-        assert_same_end_state("SCIP", hooks, loop)
+        assert_same_state(loop, oracle)
 
     def test_replay_is_the_same_loop(self, golden):
-        keys, sizes, hooks, loop = self._pair(golden, lambda policy: None)
-        requests = requests_from_arrays(keys, sizes)
-        want = [hooks.request(req) for req in requests]
+        keys, sizes, loop, oracle = self._pair(golden)
+        want = [oracle.request(k, s) for k, s in zip(keys, sizes)]
         got: list = []
-        loop.replay(iter(requests), got)  # any iterable, as CachePolicy.replay
+        loop.replay(iter(requests_from_arrays(keys, sizes)), got)  # any iterable, as CachePolicy.replay
         assert got == want
-        assert_same_end_state("SCIP", hooks, loop)
+        assert_same_state(loop, oracle)
 
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -514,31 +491,30 @@ class _WriteOnly:
 
 
 #: where the probe goes (``policy`` is SCIP's own ``attach_probe``: policy,
-#: bandit and λ controller get the same object), the sink added beside the
-#: ``RegistryRecorder`` as ``f(registry, tmp_path)``, and whether the column
-#: loop still engages.
+#: bandit and λ controller get the same object) and the sink added beside
+#: the ``RegistryRecorder`` as ``f(registry, tmp_path)``.
 _PROBED = [
-    pytest.param("policy", None, True, id="policy"),
-    pytest.param("policy", lambda reg, tmp: RingBufferSink(maxlen=64), False, id="policy+ring"),
-    pytest.param("policy", lambda reg, tmp: JSONLSink(str(tmp / "ev.jsonl")), False, id="policy+jsonl"),
-    pytest.param("policy", lambda reg, tmp: SnapshotEmitter(reg, every=1000), False, id="policy+snapshots"),
-    pytest.param("policy", lambda reg, tmp: _WriteOnly(), False, id="policy+write-only"),
-    pytest.param("bandit", None, False, id="bandit"),
-    pytest.param("lr", None, False, id="lr"),
-    pytest.param("three-probes", None, False, id="three-probes"),
+    pytest.param("policy", None, id="policy"),
+    pytest.param("policy", lambda reg, tmp: RingBufferSink(maxlen=64), id="policy+ring"),
+    pytest.param("policy", lambda reg, tmp: JSONLSink(str(tmp / "ev.jsonl")), id="policy+jsonl"),
+    pytest.param("policy", lambda reg, tmp: SnapshotEmitter(reg, every=1000), id="policy+snapshots"),
+    pytest.param("policy", lambda reg, tmp: _WriteOnly(), id="policy+write-only"),
+    pytest.param("bandit", None, id="bandit"),
+    pytest.param("lr", None, id="lr"),
+    pytest.param("three-probes", None, id="three-probes"),
 ]
 
 
 class TestHookPathGuards:
-    """Subclasses that override a hook, and instances under a probe that
-    needs records or covers only part of the learner stack, keep the
-    per-request path — through ``replay`` and through ``replay_columns``."""
+    """Subclassed and probed SCIPs run the same kernel as a bare one: what
+    rides on it — SCI's promotion, LRU-K's victims, a probe of any kind —
+    decides as the pins say, through ``replay`` and through
+    ``replay_columns``."""
 
     @pytest.mark.parametrize("entry", ["replay", "replay_columns"])
     def test_sci_keeps_its_own_promotion(self, cdn_t_small, entry):
         gold = GOLDEN_SHA["CDN-T|0.02|SCI"]
         policy = SCICache(gold["capacity"])
-        assert not policy._fast_replay_eligible()
         out: list = []
         if entry == "replay":
             policy.replay(cdn_t_small.requests, out)
@@ -549,26 +525,22 @@ class TestHookPathGuards:
         assert _hit_seq_sha256(out) != GOLDEN_SHA["CDN-T|0.02|SCIP"]["hit_seq_sha256"]
 
     def test_scip_lruk_keeps_its_victim_selection(self, cdn_t_small):
-        cap = GOLDEN_SHA["CDN-T|0.02|SCIP"]["capacity"]
-        bulk, loop = SCIPLRUK(cap), SCIPLRUK(cap)
-        assert not bulk._fast_replay_eligible()
+        pin = SCIP_FAMILY["decisions"]["CDN-T|0.02|LRU-K-SCIP"]
+        bulk, loop = SCIPLRUK(pin["capacity"]), SCIPLRUK(pin["capacity"])
         out: list = []
         bulk.replay(cdn_t_small.requests, out)
         assert out == [loop.request(req) for req in cdn_t_small.requests]
-        assert bulk._atimes == loop._atimes and bulk._atimes  # only request() records them
+        assert _hit_seq_sha256(out) == pin["hit_seq_sha256"]
+        assert bulk._atimes == loop._atimes and bulk._atimes  # both drivers record accesses
         assert bulk.resident_keys() == loop.resident_keys()
 
-    @pytest.mark.parametrize("where, extra_sink, eligible", _PROBED)
-    def test_probed_scip_emits_and_matches_golden(
-        self, cdn_t_small, tmp_path, where, extra_sink, eligible
-    ):
-        """Which path a probed SCIP takes is read off the probe: only one
-        whose sinks all fold, sitting on the whole learner stack, stays in
-        the column loop.  Either way the events are counted and the decisions
-        are the golden ones."""
+    @pytest.mark.parametrize("where, extra_sink", _PROBED)
+    def test_probed_scip_emits_and_matches_golden(self, cdn_t_small, tmp_path, where, extra_sink):
+        """Whatever the probe's sinks and wherever it sits, the decisions are
+        the golden ones and the recorder counts every event the probe saw;
+        detached, the policy reports to nobody."""
         gold = GOLDEN_SHA["CDN-T|0.02|SCIP"]
         policy = SCIPCache(gold["capacity"])
-        assert policy._fast_replay_eligible()
         recorder = RegistryRecorder()
         sinks = [recorder]
         if extra_sink is not None:
@@ -580,14 +552,17 @@ class TestHookPathGuards:
         if where == "three-probes":
             policy.bandit.attach_probe(Probe([RegistryRecorder()]))
             policy.lr.attach_probe(Probe([RegistryRecorder()]))
-        assert policy._fast_replay_eligible() == eligible
         out: list = []
         policy.replay(cdn_t_small.requests, out)
         probe.close()
         assert _hit_seq_sha256(out) == gold["hit_seq_sha256"]
-        assert probe.seq > 0, "the hook points were passed by"
+        assert probe.seq > 0, "the events went unreported"
+        events = recorder.registry.snapshot()["events"]
+        assert sum(c["value"] for c in events.values()) == probe.seq
         target.detach_probe()
-        assert policy._fast_replay_eligible()
+        seq = probe.seq
+        policy.replay(cdn_t_small.requests[:2000])
+        assert probe.seq == seq
 
 
 @pytest.mark.slow

@@ -31,6 +31,7 @@ from repro.cache.lru import LRUCache
 from repro.core.sci import SCICache
 from repro.core.scip import SCIPCache
 from repro.sim.engine import simulate
+from tests.core.scip_reference import ReferenceSCIP, assert_same_state
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "golden_traces.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -78,7 +79,9 @@ def test_golden_cell(cell, request):
 @pytest.mark.parametrize("pname", sorted(POLICIES))
 def test_bulk_replay_matches_per_request_loop(pname, cdn_t_small):
     """`replay` (including the inlined LRU fast loop) is observably identical
-    to calling ``request()`` once per request."""
+    to calling ``request()`` once per request.  SCIP and SCI run one kernel
+    under both drivers, so both are held to the naive transcription as well,
+    decisions and whole state."""
     trace = cdn_t_small
     cap = max(int(trace.working_set_size * 0.02), 1)
     bulk = POLICIES[pname](cap)
@@ -96,6 +99,11 @@ def test_bulk_replay_matches_per_request_loop(pname, cdn_t_small):
     assert len(bulk) == len(loop)
     if hasattr(bulk, "resident_keys"):  # queue-backed policies expose order too
         assert bulk.resident_keys() == loop.resident_keys()
+    if pname in ("SCIP", "SCI"):
+        oracle = ReferenceSCIP(cap, always_mru=pname == "SCI")
+        assert [oracle.request(r.key, r.size) for r in trace] == seq
+        assert_same_state(bulk, oracle)
+        assert_same_state(loop, oracle)
 
 
 @pytest.mark.parametrize("pname", ["LRU", "ARC", "SCIP"])

@@ -10,12 +10,16 @@ The two properties the tentpole leans on, pinned at the composite level:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.scip import SCIPCache
 from repro.obs.probe import Probe
 from repro.sim.request import Request
 from repro.tenancy import TenantPartitionedCache
 from repro.traces.drift import TENANT_STRIDE
+from tests.core.scip_reference import ReferenceSCIP, assert_same_state
 
 
 class ListSink:
@@ -122,6 +126,37 @@ class TestQuotaResplit:
             cache.set_quotas({0: 1_500, 1: 1_000})
         with pytest.raises(ValueError, match="missing"):
             cache.set_quotas({0: 1_000})
+
+
+class TestSCIPPartitions:
+    def test_resplits_between_requests_match_the_reference_per_tenant(self):
+        """SCIP partitions under quota changes: every re-split's shrink goes
+        through SCIP's own eviction (history lists included) and its grow is
+        seen by the next request, so each tenant stays equal to the naive
+        transcription driven through the same requests and capacities."""
+        params = {"update_interval": 50, "deny_gap_factor": 0.5}
+        cache = TenantPartitionedCache(
+            9_000, n_tenants=3, inner_factory=lambda quota: SCIPCache(quota, **params)
+        )
+        refs = {t: ReferenceSCIP(3_000, **params) for t in range(3)}
+        splits = [{0: 1_000, 1: 4_000, 2: 4_000}, {0: 5_000, 1: 500, 2: 3_500},
+                  {0: 3_000, 1: 3_000, 2: 3_000}]
+        rng = random.Random(4)
+        for i in range(3_000):
+            if i % 250 == 249:
+                quotas = splits[(i // 250) % len(splits)]
+                used = {t: ref.used for t, ref in refs.items()}
+                evicted = cache.set_quotas(quotas)
+                for t, ref in refs.items():
+                    ref.resize(quotas[t])
+                assert evicted == {t: used[t] - ref.used for t, ref in refs.items() if used[t] > ref.used}
+            tenant = rng.randrange(3)
+            key, size = _key(tenant, int(rng.paretovariate(0.8)) % 300), rng.randrange(50, 400)
+            assert cache.request(Request(i, key, size)) == refs[tenant].request(key, size)
+        assert cache.quota_evictions > 0
+        for t, ref in refs.items():
+            assert_same_state(cache.inners[t], ref)
+        cache.check_invariants()
 
 
 class TestAggregation:
