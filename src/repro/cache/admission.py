@@ -138,19 +138,16 @@ class TinyLFUCache(QueueCache):
         super().__init__(capacity)
         self.sketch = _CountMinSketch(width=sketch_width)
 
-    def request(self, req: Request) -> bool:
-        self.sketch.add(req.key)
-        return super().request(req)
+    def _on_access(self, key: int, size: int) -> None:
+        self.sketch.add(key)
 
-    def _miss(self, req: Request) -> None:
+    def _before_admit(self, key: int, size: int) -> bool:
         # Admission duel: the newcomer must beat the would-be victim's
         # estimated frequency, otherwise it is not admitted at all.
-        if self.used + req.size > self.capacity and self.queue.tail is not None:
-            victim = self.queue.tail
-            if self.sketch.estimate(req.key) <= self.sketch.estimate(victim.key):
-                self.stats.bypasses += 1
-                return
-        super()._miss(req)
+        victim = self.queue.tail
+        if self.used + size > self.capacity and victim is not None:
+            return self.sketch.estimate(key) > self.sketch.estimate(victim.key)
+        return True
 
     def metadata_bytes(self) -> int:
         return 110 * len(self) + 4 * self.sketch.width * 2
@@ -182,17 +179,13 @@ class AdaptSizeCache(QueueCache):
         self._window: List[tuple] = []  # (key, size)
         self._grid = (0.25, 0.5, 1.0, 2.0, 4.0)
 
-    def request(self, req: Request) -> bool:
-        self._window.append((req.key, req.size))
+    def _on_access(self, key: int, size: int) -> None:
+        self._window.append((key, size))
         if len(self._window) >= self.tune_interval:
             self._tune()
-        return super().request(req)
 
-    def _miss(self, req: Request) -> None:
-        if self.rng.random() > math.exp(-req.size / self.cutoff):
-            self.stats.bypasses += 1
-            return
-        super()._miss(req)
+    def _before_admit(self, key: int, size: int) -> bool:
+        return self.rng.random() <= math.exp(-size / self.cutoff)
 
     def _tune(self) -> None:
         """Pick the grid multiple of the current cutoff that would have

@@ -27,7 +27,6 @@ from typing import Optional
 
 from repro.cache.base import LRU_POS, MRU_POS, QueueCache
 from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["ASCIPCache"]
 
@@ -71,8 +70,8 @@ class ASCIPCache(QueueCache):
         self._log_dead = math.log(init_threshold * 2.0)
         self._log_live = math.log(init_threshold / 2.0)
 
-    def _insert_position(self, req: Request) -> int:
-        if req.size >= self.threshold:
+    def _insert_position(self, key: int, size: int) -> int:
+        if size >= self.threshold:
             # Suspected ZRO; bimodal gate reconciles misjudgment.
             return MRU_POS if self.rng.random() < self.mru_chance else LRU_POS
         return MRU_POS

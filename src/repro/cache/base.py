@@ -8,14 +8,18 @@ Two layers:
   simulation engine keeps its own counters as well, so policies cannot
   misreport results.
 
-* :class:`QueueCache` — shared machinery for the (large) family of policies
-  whose resident set lives in a single recency queue and whose behaviour is
-  defined by three hooks: where to insert a missing object
-  (:meth:`_insert_position`), what to do on a hit (:meth:`_on_hit`), and which
-  node to evict (:meth:`_choose_victim`, default: the LRU end).  LIP, DIP,
-  BIP, PIPP, SHiP, DTA, DAAIP, DGIPPR, ASC-IP, SCI and SCIP are all
-  expressible in this frame, which is exactly the point the paper makes:
-  an insertion/promotion policy is orthogonal to victim selection.
+* :class:`QueueCache` — the (large) family of policies whose resident set
+  lives in a single recency queue, run by one resumable kernel that
+  :meth:`~QueueCache.request` and :meth:`~QueueCache.replay_columns` both
+  drive.  A policy states only its extension points: where a missing
+  object goes (:attr:`~QueueCache._insert_position`), where a hit goes
+  (:attr:`~QueueCache._on_hit`), which node to evict
+  (:attr:`~QueueCache._choose_victim`, default: the LRU end), and what to
+  observe on the way.  LIP, DIP, BIP, PIPP, SHiP, DTA, DAAIP, DGIPPR,
+  ASC-IP, FIFO, LRU-K, LRB, LeCaR, CACHEUS, TinyLFU and AdaptSize are all
+  expressible in this frame — SCIP and SCI supply a kernel of their own
+  over the same drivers — which is exactly the point the paper makes: an
+  insertion/promotion policy is orthogonal to victim selection.
 
 Objects larger than the cache capacity are **bypassed** (never admitted),
 matching CDN simulator convention — counting them as unavoidable misses.
@@ -31,7 +35,7 @@ from repro.sim.request import Request
 
 __all__ = ["CacheStats", "CachePolicy", "QueueCache", "MRU_POS", "LRU_POS"]
 
-#: Insertion-position constants used by bimodal policies.
+#: Placements a queue policy's hooks return (a resident node is the third).
 MRU_POS = 1
 LRU_POS = 0
 
@@ -126,13 +130,16 @@ class CachePolicy(ABC):
     def _lookup(self, key: int) -> bool:
         """Whether the key is resident (no side effects)."""
 
-    @abstractmethod
     def _hit(self, req: Request) -> None:
-        """Handle a resident request (promotion, bookkeeping)."""
+        """Handle a resident request (promotion, bookkeeping) for the
+        :meth:`request` template; a policy that overrides :meth:`request`
+        whole needs none."""
+        raise NotImplementedError
 
-    @abstractmethod
     def _miss(self, req: Request) -> None:
-        """Handle a missing request (admit/insert/evict as needed)."""
+        """Handle a missing request (admit/insert/evict as needed) for the
+        :meth:`request` template and :meth:`admit`."""
+        raise NotImplementedError
 
     # -- template -------------------------------------------------------------
     def request(self, req: Request) -> bool:
@@ -160,10 +167,9 @@ class CachePolicy(ABC):
         """Attach an observability probe (:class:`repro.obs.probe.Probe`).
 
         Hook points (``admit``, ``evict``, policy-specific learner events)
-        start emitting.  LRU's inlined loop passes the hooks by, so it
-        drops back to the instrumented per-request path until
-        :meth:`detach_probe`; SCIP's kernel has emit sites of its own, and
-        over a chunk it reports aggregates to a probe whose sinks all take
+        start emitting.  A queue policy's kernel has the emit sites, so
+        both of its drivers emit one record per event; SCIP's kernel, over
+        a chunk, instead reports aggregates to a probe whose sinks all take
         them (:attr:`Probe.folds <repro.obs.probe.Probe.folds>`).  The
         decision sequence is unchanged either way — the golden-trace suite
         pins replay-with-probe against the recorded traces.
@@ -293,106 +299,112 @@ class CachePolicy(ABC):
         return f"{type(self).__name__}(capacity={self.capacity}, used={self.used})"
 
 
+#: The key slot of a kernel message that is not a recorded request: the
+#: size slot then holds an off-record ``(key, size)`` step, or ``None`` to park.
+_CONTROL = object()
+_PARK = (_CONTROL, None)
+
+
 class QueueCache(CachePolicy):
-    """Base for single-recency-queue policies with pluggable insertion,
-    promotion and victim-selection hooks.
+    """Base for single-recency-queue policies: one kernel does every link,
+    unlink and count, and a policy says only where nodes go.
 
-    Subclasses typically override only:
+    The extension points are class attributes, ``None`` unless a class sets
+    them.  A placement ("where") is ``MRU_POS``, ``LRU_POS`` or a resident
+    node to link immediately toward-MRU of; a hit's own node leaves it in
+    place.
 
-    * :meth:`_insert_position` → ``MRU_POS`` or ``LRU_POS`` for a missing
-      object (called once per admitted miss);
-    * :meth:`_on_hit` → promotion behaviour (default: classic move-to-MRU);
-    * :meth:`_on_evict` → observe the victim node (adaptive policies learn
-      from eviction outcomes here);
-    * :meth:`_choose_victim` → non-LRU victim selection (LRU-K, LRB, …).
+    * :attr:`_on_access` ``(key, size)`` — before each recorded request,
+      ``self.clock`` not yet advanced;
+    * :attr:`_on_hit` ``(node) -> where`` — after the hit token and any
+      resize; ``None`` promotes to MRU;
+    * :attr:`_before_admit` ``(key, size) -> bool`` — on a miss that fits,
+      before any eviction; ``False`` declines the object (a bypass);
+    * :attr:`_choose_victim` ``() -> Node`` — ``None`` evicts the LRU end;
+    * :attr:`_on_evict` ``(node)`` — after a victim has left (the kernel
+      recycles it for a later insert: a hook keeps its fields, or checks a
+      kept node against the index);
+    * :attr:`_insert_position` ``(key, size) -> where`` — after the
+      evictions; ``None`` inserts at MRU;
+    * :attr:`_on_insert` ``(node)`` — after a new node is linked;
+    * :attr:`_after_request` ``(hit)`` — after each recorded request.
+
+    The kernel leaves ``inserted_mru`` alone on a hit (a hook may set it),
+    and ``used``, ``len(queue)`` and ``clock`` are current whenever a hook
+    reads them.  :class:`~repro.core.scip.SCIPCache` supplies a kernel of
+    its own, run by the same drivers, that reads ``_on_access``,
+    ``_choose_victim``, ``_on_evict`` and ``_on_insert`` with the same
+    meaning.
     """
+
+    _on_access = None
+    _on_hit = None
+    _before_admit = None
+    _choose_victim = None
+    _on_evict = None
+    _insert_position = None
+    _on_insert = None
+    _after_request = None
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self.queue = LinkedQueue()
         self.index: dict = {}
 
-    # -- hooks ------------------------------------------------------------------
-    def _insert_position(self, req: Request) -> int:
-        """Insertion position for a missing object; default MRU (LRU policy)."""
-        return MRU_POS
-
-    def _on_hit(self, node: Node, req: Request) -> None:
-        """Hit handling; default classic LRU promotion."""
-        self.queue.move_to_mru(node)
-
-    def _on_evict(self, node: Node) -> None:
-        """Observe an evicted node (ghost lists, threshold adaptation, …)."""
-
-    def _on_insert(self, node: Node, req: Request) -> None:
-        """Observe a newly inserted node (predictors initialise state here)."""
-
-    def _choose_victim(self) -> Node:
-        """Pick the eviction victim; default the LRU-end node."""
-        tail = self.queue.tail
-        assert tail is not None
-        return tail
-
-    # -- CachePolicy implementation ----------------------------------------------
     def _lookup(self, key: int) -> bool:
         return key in self.index
 
-    def _hit(self, req: Request) -> None:
-        node = self.index[req.key]
-        node.hit_token = (node.hit_token or 0) + 1  # per-residency hit count
-        if node.size != req.size:
-            # Object was updated at the origin; account the size change.
-            self.used += req.size - node.size
-            self.queue.bytes += req.size - node.size
-            node.size = req.size
-        self._on_hit(node, req)
-        # A grown object may have pushed the cache over capacity.
-        if self.used > self.capacity:
-            self._make_room(0)
+    def __len__(self) -> int:
+        return len(self.index)
 
-    def _miss(self, req: Request) -> None:
-        self._make_room(req.size)
-        node = Node(req.key, req.size)
-        pos = self._insert_position(req)
-        node.inserted_mru = pos == MRU_POS
-        if node.inserted_mru:
-            self.queue.push_mru(node)
-        else:
-            self.queue.push_lru(node)
-        self.index[req.key] = node
-        self.used += req.size
-        self._on_insert(node, req)
-        if self._probe is not None:
-            self._probe.emit(
-                "admit", key=req.key, size=req.size, mru=node.inserted_mru
-            )
+    # -- observability -------------------------------------------------------------
+    def attach_probe(self, probe) -> None:
+        self._park()
+        super().attach_probe(probe)
 
-    def _make_room(self, need: int) -> None:
-        while self.used + need > self.capacity and self.index:
-            victim = self._choose_victim()
-            self.evict_node(victim)
+    def detach_probe(self) -> None:
+        self._park()
+        super().detach_probe()
 
-    def evict_node(self, node: Node) -> None:
-        """Evict a specific resident node, firing the observation hook."""
-        self.queue.unlink(node)
-        del self.index[node.key]
-        self.used -= node.size
-        self.stats.evictions += 1
-        self._on_evict(node)
-        if self._probe is not None:
-            self._probe.emit(
-                "evict",
-                key=node.key,
-                size=node.size,
-                hits=node.hit_token or 0,
-                mru=node.inserted_mru,
-            )
+    # -- the drivers ---------------------------------------------------------------
+    def request(self, req: Request) -> bool:
+        return self._send((req.key, req.size))
+
+    def _send(self, message):
+        """Prime a kernel from instance state and hand it ``message``.  While
+        it lives, ``self._send`` is the kernel's own ``send``."""
+        kernel = self._kernel()
+        next(kernel)
+        self._send = kernel.send
+        return kernel.send(message)
+
+    def _park(self) -> None:
+        """Stop the live kernel, if any, with every field written back; the
+        next message primes a new one from instance state.  Out-of-band
+        writes (:meth:`remove`, a probe change, a chunk replay) park first;
+        the kernel reads ``capacity`` afresh on every message."""
+        send = self.__dict__.get("_send")
+        if send is not None:
+            try:
+                send(_PARK)
+            except StopIteration:
+                pass
+
+    def admit(self, key: int, size: int) -> bool:
+        """:meth:`CachePolicy.admit` as an off-record step of the kernel: the
+        pre-admission step, the evictions and the insert all run, at the
+        current clock, with no request counted."""
+        if size > self.capacity or key in self.index:
+            return False
+        self._send((_CONTROL, (key, size)))
+        return True
 
     def remove(self, key: int) -> Optional[Node]:
         """Silently remove a resident object (paper's ``C.REMOVE``): the node
         leaves the cache *without* being recorded as an eviction — promotion
         in Algorithm 1 is remove-then-insert and must not pollute the
         history lists."""
+        self._park()
         node = self.index.pop(key, None)
         if node is None:
             return None
@@ -400,176 +412,255 @@ class QueueCache(CachePolicy):
         self.used -= node.size
         return node
 
-    def __len__(self) -> int:
-        return len(self.index)
-
-    # -- bulk replay fast path -------------------------------------------------
-    def _fast_replay_eligible(self) -> bool:
-        """Whether this instance runs the stock template end to end.
-
-        The inlined loop in :meth:`replay_columns` reproduces the *default*
-        ``request``/``_hit``/``_miss``/eviction plumbing with all state held
-        in locals; any override could observe stale instance state mid-loop,
-        so the fast loop only engages when every overridable piece is the
-        base-class original (pure LRU).  Everything else falls back to the
-        generic bound-method loop.
-
-        An attached probe also disqualifies the instance: the inlined loop
-        bypasses the ``admit``/``evict`` hook points, so tracing selects the
-        instrumented per-request path instead (decision-identical; the
-        bare loop itself stays branch-free).
-        """
-        if self._probe is not None:
-            return False
-        cls = type(self)
-        return (
-            cls.request is CachePolicy.request
-            and cls._lookup is QueueCache._lookup
-            and cls._hit is QueueCache._hit
-            and cls._miss is QueueCache._miss
-            and cls._make_room is QueueCache._make_room
-            and cls.evict_node is QueueCache.evict_node
-            and cls._insert_position is QueueCache._insert_position
-            and cls._on_hit is QueueCache._on_hit
-            and cls._on_evict is QueueCache._on_evict
-            and cls._on_insert is QueueCache._on_insert
-            and cls._choose_victim is QueueCache._choose_victim
-        )
+    def _make_room(self, need: int) -> None:
+        """Evict by the policy's rule down to its capacity (``need`` must be
+        0: how a quota shrink calls it) — an off-record step of an object
+        too large to admit, whose bypass touches nothing but the eviction
+        loop."""
+        if need:
+            raise ValueError(f"a queue policy makes room only down to capacity, got need={need}")
+        self._send((_CONTROL, (_CONTROL, self.capacity + 1)))
 
     def replay(self, requests, out: Optional[list] = None) -> None:
-        """Bulk replay; bit-identical to per-request :meth:`request` calls.
-
-        An instance :meth:`_fast_replay_eligible` admits hands the inlined
-        loop of :meth:`replay_columns` the two columns it reads; any other
-        walks the requests it was given.
-        """
-        if not self._fast_replay_eligible():
-            return CachePolicy.replay(self, requests, out)
         if not isinstance(requests, (list, tuple)):
             requests = list(requests)
         self.replay_columns([r.key for r in requests], [r.size for r in requests], out)
 
     def replay_columns(self, keys: list, sizes: list, out: Optional[list] = None) -> None:
-        """:meth:`CachePolicy.replay_columns`, inlined for the default template.
-
-        For classic LRU the whole lookup→promote / make-room→insert cycle
-        is one loop: no ``Request``, no method dispatch, queue pointers
-        spliced directly, counters accumulated in locals and folded back
-        into ``stats``/``queue`` state once at the end.  This is the ~3×
-        engine speedup the ladder tracks; the golden-trace suite pins its
-        equivalence.
-        """
-        if not self._fast_replay_eligible():
-            return CachePolicy.replay_columns(self, keys, sizes, out)
+        """Replay parallel ``keys``/``sizes`` lists (a trace chunk's columns):
+        the kernel's body run over them in one loop, counters in locals
+        written back at the end, so a trace split across calls equals one
+        call and equals one :meth:`request` per element."""
         if len(keys) != len(sizes):
             raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
+        self._park()
+        for _ in self._kernel(keys, sizes, out):
+            pass
+
+    # -- the kernel ----------------------------------------------------------------
+    def _kernel(self, keys: Optional[list] = None, sizes=None, out: Optional[list] = None):
+        """The queue policy, stated once.
+
+        A generator holding the policy's state in locals.  Driven per
+        request (``keys`` is ``None``), it yields each decision and takes
+        the next message: ``(key, size)`` is a recorded request,
+        ``(_CONTROL, (key, size))`` an off-record step (an admission no
+        request counts; with the size over capacity, only the eviction
+        loop), ``_PARK`` stops it.  After each step it writes back what the
+        step changed.  Driven by columns, it runs the same body over the
+        chunk and returns; everything is written back when it ends.
+
+        Per request, in this order: the access callback; on a hit the
+        token, the resize and the promotion; on a miss the pre-admission
+        step; then evictions by the victim chooser — to room for an
+        admitted object, or to capacity after a hit that grew — with an
+        evict callback and an ``evict`` record per victim; then the
+        admitted object's position, link, insert callback and ``admit``
+        record; then the post-request callback.
+        """
+        chunked = keys is not None
         index = self.index
         index_get = index.get
         queue = self.queue
         sentinel = queue._sentinel
-        capacity = self.capacity
         node_cls = Node
-        append = out.append if out is not None else None
-        # Loop-local mirrors of instance state, folded back after the loop.
+        control = _CONTROL
+        mru = MRU_POS
+        lru = LRU_POS
+        access = self._on_access
+        promote = self._on_hit
+        screen = self._before_admit
+        choose = self._choose_victim
+        on_evict = self._on_evict
+        position = self._insert_position
+        on_insert = self._on_insert
+        after = self._after_request
+        probe = self._probe
+        emit = probe.emit if probe is not None else None
+        # A hook may read used and len(queue): each change is then written
+        # through as it happens.
+        hooked = not (
+            access is None and promote is None and screen is None and choose is None
+            and on_evict is None and position is None and on_insert is None and after is None
+        )
+        observed = hooked or emit is not None
+        # A step keeps self.clock current unless nothing reads it mid-chunk;
+        # such a chunk records every request, so its clock is counted at the
+        # end (a per-request add allocates: the clock is past the small ints).
+        plain = chunked and not observed
+        # Local mirrors of instance state.  The queue's own byte and node
+        # counts are ``used`` and ``len(index)``, written back with them.
+        st = self.stats
+        capacity = self.capacity
         used = self.used
-        qbytes = queue.bytes
-        count = queue._count
-        hits = misses = bytes_hit = bytes_missed = evictions = bypasses = 0
-        # Evicted nodes are recycled for subsequent inserts: a steady-state
-        # replay then allocates ~zero objects per request.  Pooled nodes are
-        # unreachable (removed from the index) so reuse is unobservable.
+        clock = self.clock
+        hits, misses, bytes_hit = st.hits, st.misses, st.bytes_hit
+        bytes_missed, evictions, bypasses = st.bytes_missed, st.evictions, st.bypasses
+        unclocked = hits + misses if plain else None
+        # Evicted nodes are recycled for later inserts: a steady-state replay
+        # then allocates ~zero objects per request.
         pool: list = []
         pool_pop = pool.pop
         pool_append = pool.append
-        for key, size in zip(keys, sizes):
-            node = index_get(key)
-            if node is not None:
-                # Hit: account, bump the residency token, splice to MRU.
-                hits += 1
-                bytes_hit += size
-                node.hit_token += 1
-                if node.size != size:
-                    d = size - node.size
-                    used += d
-                    qbytes += d
-                    node.size = size
-                prev = node.prev
-                nxt = node.next
-                prev.next = nxt
-                nxt.prev = prev
-                head = sentinel.next
-                node.prev = sentinel
-                node.next = head
-                head.prev = node
-                sentinel.next = node
-                # A grown object may have pushed the cache over capacity.
-                while used > capacity and index:
-                    victim = sentinel.prev
-                    p = victim.prev
-                    p.next = sentinel
-                    sentinel.prev = p
-                    count -= 1
-                    qbytes -= victim.size
-                    del index[victim.key]
-                    used -= victim.size
-                    evictions += 1
-                    pool_append(victim)
-                if append is not None:
-                    append(True)
-            else:
-                misses += 1
-                bytes_missed += size
-                if size > capacity:
-                    bypasses += 1
+        append = out.append if out is not None else None
+        record = True
+        decision = None
+        try:
+            while True:
+                if chunked:
+                    pairs = zip(keys, sizes)
                 else:
-                    while used + size > capacity and index:
-                        victim = sentinel.prev
-                        p = victim.prev
-                        p.next = sentinel
-                        sentinel.prev = p
-                        count -= 1
-                        qbytes -= victim.size
-                        del index[victim.key]
-                        used -= victim.size
-                        evictions += 1
-                        pool_append(victim)
-                    if pool:
-                        node = pool_pop()
-                        node.key = key
-                        node.size = size
-                        node.inserted_mru = True
-                        node.hit_token = 0
-                        node.data = None
-                        node.stamp = 0
+                    message = yield decision
+                    if message[0] is control:
+                        message = message[1]
+                        if message is None:
+                            return
+                        record = False
                     else:
-                        node = node_cls(key, size)
-                    head = sentinel.next
-                    node.prev = sentinel
-                    node.next = head
-                    head.prev = node
-                    sentinel.next = node
-                    count += 1
-                    qbytes += size
-                    index[key] = node
-                    used += size
-                if append is not None:
-                    append(False)
-        # Cut leftover pooled nodes loose so they don't pin ring neighbours.
-        for n in pool:
-            n.prev = None
-            n.next = None
-        self.used = used
-        self.clock += hits + misses
-        queue.bytes = qbytes
-        queue._count = count
-        st = self.stats
-        st.hits += hits
-        st.misses += misses
-        st.bytes_hit += bytes_hit
-        st.bytes_missed += bytes_missed
-        st.evictions += evictions
-        st.bypasses += bypasses
+                        record = True
+                    capacity = self.capacity
+                    pairs = (message,)
+                for key, size in pairs:
+                    if not plain and record:
+                        if access is not None:
+                            access(key, size)
+                        clock += 1
+                        self.clock = clock
+                    node = index_get(key)
+                    if node is not None:
+                        hit = True
+                        admit = False
+                        need = 0
+                        hits += 1
+                        bytes_hit += size
+                        node.hit_token += 1  # per-residency hit count
+                        if node.size != size:
+                            # The object changed at the origin; a growth evicts below.
+                            d = size - node.size
+                            used += d
+                            node.size = size
+                            if hooked:
+                                self.used = queue.bytes = used
+                        where = mru if promote is None else promote(node)
+                        if where is not node:
+                            prev = node.prev
+                            nxt = node.next
+                            prev.next = nxt
+                            nxt.prev = prev
+                            anchor = (sentinel.next if where == mru
+                                      else sentinel if where == lru else where)
+                            prev = anchor.prev
+                            node.prev = prev
+                            node.next = anchor
+                            prev.next = node
+                            anchor.prev = node
+                    else:
+                        hit = False
+                        if record:
+                            misses += 1
+                            bytes_missed += size
+                        if size > capacity:
+                            admit = False
+                            need = 0
+                            if record:
+                                bypasses += 1
+                        elif screen is None or screen(key, size):
+                            admit = True
+                            need = size
+                        else:
+                            admit = False
+                            need = 0
+                            bypasses += 1
+                    if append is not None:
+                        append(hit)
+                    while used + need > capacity and index:
+                        victim = sentinel.prev if choose is None else choose()
+                        prev = victim.prev
+                        nxt = victim.next
+                        prev.next = nxt
+                        nxt.prev = prev
+                        vsize = victim.size
+                        del index[victim.key]
+                        used -= vsize
+                        evictions += 1
+                        if observed:
+                            if hooked:
+                                self.used = queue.bytes = used
+                                queue._count = len(index)
+                            if on_evict is not None:
+                                on_evict(victim)
+                            if emit is not None:
+                                emit("evict", key=victim.key, size=vsize, hits=victim.hit_token,
+                                     mru=victim.inserted_mru)
+                        pool_append(victim)
+                    if admit:
+                        if position is None:
+                            to_mru = True
+                            anchor = sentinel.next
+                        else:
+                            where = position(key, size)
+                            to_mru = where == mru
+                            anchor = (sentinel.next if to_mru
+                                      else sentinel if where == lru else where)
+                        if pool:
+                            node = pool_pop()
+                            node.key = key
+                            node.size = size
+                            node.hit_token = 0
+                            node.data = None
+                            node.stamp = 0
+                        else:
+                            node = node_cls(key, size)
+                        node.inserted_mru = to_mru
+                        prev = anchor.prev
+                        node.prev = prev
+                        node.next = anchor
+                        prev.next = node
+                        anchor.prev = node
+                        index[key] = node
+                        used += size
+                        if observed:
+                            if hooked:
+                                self.used = queue.bytes = used
+                                queue._count = len(index)
+                            if on_insert is not None:
+                                on_insert(node)
+                            if emit is not None:
+                                emit("admit", key=key, size=size, mru=to_mru)
+                    if after is not None and record:
+                        after(hit)
+                if chunked:
+                    return
+                # One step: write back what it changed.
+                if hit:
+                    st.hits = hits
+                    st.bytes_hit = bytes_hit
+                else:
+                    st.misses = misses
+                    st.bytes_missed = bytes_missed
+                    st.bypasses = bypasses
+                st.evictions = evictions
+                self.used = queue.bytes = used
+                queue._count = len(index)
+                decision = hit
+        finally:
+            # Parked, at the end of a chunk, or stopped by an exception: the
+            # instance takes every local back.
+            if plain:
+                clock += hits + misses - unclocked
+            self.used = queue.bytes = used
+            queue._count = len(index)
+            self.clock = clock
+            st.hits, st.misses, st.bytes_hit = hits, misses, bytes_hit
+            st.bytes_missed, st.evictions, st.bypasses = bytes_missed, evictions, bypasses
+            # Cut pooled nodes loose so they don't pin ring neighbours.
+            for n in pool:
+                n.prev = None
+                n.next = None
+            if not chunked:
+                self.__dict__.pop("_send", None)
 
+    # -- introspection ----------------------------------------------------------
     def resident_keys(self) -> list:
         """Keys MRU → LRU (diagnostics / tests)."""
         return self.queue.keys()

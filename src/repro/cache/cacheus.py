@@ -20,11 +20,10 @@ import math
 import random
 from typing import Optional
 
-from repro.cache.base import QueueCache
+from repro.cache.base import LRU_POS, MRU_POS, QueueCache
 from repro.cache.queue import Node
 from repro.core.history import HistoryList
 from repro.core.learning import LearningRateController
-from repro.sim.request import Request
 
 __all__ = ["CacheusCache"]
 
@@ -53,35 +52,23 @@ class CacheusCache(QueueCache):
         self.discount = 0.005 ** (1.0 / expected_n)
 
     # -- SR-LRU structure: probationary insertion, promote on reuse -----------------
-    def _insert_position(self, req: Request) -> int:
-        # Probationary = LRU half.  Realised by inserting at mid-queue via a
-        # short bounded walk from the tail (same device as PIPP's finger).
-        return 0  # LRU side; see _miss override below
-
-    def _miss(self, req: Request) -> None:
-        self._blame(req.key)
-        self._make_room(req.size)
-        node = Node(req.key, req.size)
-        node.inserted_mru = False
+    def _insert_position(self, key: int, size: int):
         # Probationary insert: a few steps above the tail so brand-new
         # objects outrank long-cold ones but stay in the scan-wash region.
         anchor = self.queue.tail
         for _ in range(4):
-            if anchor is None or anchor.prev is None or anchor.prev.key is None:
+            if anchor is None or anchor.prev.key is None:
                 break
             anchor = anchor.prev
-        if anchor is None:
-            self.queue.push_lru(node)
-        else:
-            self.queue.insert_before(node, anchor)
-        self.index[req.key] = node
-        self.used += req.size
-        self._freq[req.key] = self._freq.get(req.key, 0) + 1
+        return LRU_POS if anchor is None else anchor
 
-    def _on_hit(self, node: Node, req: Request) -> None:
-        self._freq[req.key] = self._freq.get(req.key, 0) + 1
+    def _on_insert(self, node: Node) -> None:
+        self._freq[node.key] = self._freq.get(node.key, 0) + 1
+
+    def _on_hit(self, node: Node) -> int:
+        self._freq[node.key] = self._freq.get(node.key, 0) + 1
         node.inserted_mru = True
-        self.queue.move_to_mru(node)  # promotion to protected front
+        return MRU_POS  # promotion to protected front
 
     # -- experts --------------------------------------------------------------------------
     def _crlfu_victim(self) -> Node:
@@ -108,10 +95,11 @@ class CacheusCache(QueueCache):
         victim.data = chooser
         return victim
 
-    def _blame(self, key: int) -> None:
+    def _before_admit(self, key: int, size: int) -> bool:
+        """Blame the expert whose ghost holds ``key``; admit it either way."""
         t = self._ghost_time.pop(key, None)
         if t is None:
-            return
+            return True
         reward = self.discount ** (self.clock - t)
         lam = self.lr.value
         if self.ghost_srlru.delete(key):
@@ -121,6 +109,7 @@ class CacheusCache(QueueCache):
         total = self.w_srlru + self.w_crlfu
         self.w_srlru /= total
         self.w_crlfu = 1.0 - self.w_srlru
+        return True
 
     def _on_evict(self, node: Node) -> None:
         chooser = node.data if node.data in ("srlru", "crlfu") else "srlru"
@@ -134,8 +123,7 @@ class CacheusCache(QueueCache):
             self._ghost_time.pop(node.key, None)
 
     # -- adaptive learning rate ---------------------------------------------------------------
-    def request(self, req: Request) -> bool:
-        hit = super().request(req)
+    def _after_request(self, hit: bool) -> None:
         self._win_reqs += 1
         if hit:
             self._win_hits += 1
@@ -145,7 +133,6 @@ class CacheusCache(QueueCache):
             self._prev_rate = rate
             self._win_hits = 0
             self._win_reqs = 0
-        return hit
 
     def metadata_bytes(self) -> int:
         return (

@@ -4,9 +4,9 @@ DAAIP predicts *dead-on-arrival* objects ("deadblocks" — the CPU-cache name
 for what the paper calls ZROs) using a reuse history table, and steers
 predicted-dead insertions to the LRU position.  The table is trained from
 eviction outcomes: a victim evicted without any hit strengthens the dead
-prediction for its signature; reuse weakens it.  An adaptive *bypass
-confidence* additionally demotes repeat offenders even further by refusing
-promotion on their first hit.
+prediction for its signature; reuse weakens it.  An adaptive *confidence*
+counter raises the prediction threshold by one while dead predictions keep
+being disproved by hits.  Every hit promotes to MRU.
 
 Signatures are the same pure key-group hash used by our SHiP port (the
 original indexes its tables by PC; size is deliberately kept out so the
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.cache.base import LRU_POS, MRU_POS, QueueCache
 from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["DAAIPCache"]
 
@@ -53,31 +52,24 @@ class DAAIPCache(QueueCache):
         # high values mean dead predictions have been paying off.
         self._confidence = 0
 
-    def _signature(self, key: int, size: int) -> int:
+    def _signature(self, key: int) -> int:
         return (hash(key) // 64) % self.table_size
 
-    def _insert_position(self, req: Request) -> int:
-        sig = self._signature(req.key, req.size)
+    def _insert_position(self, key: int, size: int) -> int:
         thr = self.dead_threshold if self._confidence >= 0 else self.dead_threshold + 1
-        return LRU_POS if self._dead[sig] >= thr else MRU_POS
+        return LRU_POS if self._dead[self._signature(key)] >= thr else MRU_POS
 
-    def _on_insert(self, node: Node, req: Request) -> None:
-        node.data = self._signature(req.key, req.size)
+    def _on_insert(self, node: Node) -> None:
+        node.data = self._signature(node.key)
 
-    def _on_hit(self, node: Node, req: Request) -> None:
+    def _on_hit(self, node: Node) -> int:
         sig = node.data
         if sig is not None and self._dead[sig] > 0:
             self._dead[sig] -= 1
             if not node.inserted_mru:
                 # We predicted dead but it was reused: lose confidence.
                 self._confidence = max(self._confidence - 1, -1024)
-        # First hit after a dead prediction stays put (cautious promotion);
-        # subsequent hits get full MRU promotion.
-        if not node.inserted_mru and not node.hit_token:
-            node.hit_token = True
-            self.queue.promote_one(node)
-            return
-        self.queue.move_to_mru(node)
+        return MRU_POS
 
     def _on_evict(self, node: Node) -> None:
         sig = node.data

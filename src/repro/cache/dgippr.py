@@ -15,8 +15,8 @@ cache granularity:
 * after every generation, the two fittest chromosomes crossover + mutate to
   replace the weakest (steady-state GA).
 
-Positional placement uses the same lazy finger mechanism as PIPP, with one
-finger per distinct depth gene.
+Positional placement walks a bounded number of steps up from the LRU end
+to an anchor node; the queue kernel links the object before it.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.cache.base import QueueCache
+from repro.cache.base import LRU_POS, MRU_POS, QueueCache
 from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["DGIPPRCache"]
 
 GENE_COUNT = 4  # miss-insert depth + promotion depths for hits 1..3+
+_MAX_WALK = 32
 
 
 class _Chromosome:
@@ -88,7 +88,7 @@ class DGIPPRCache(QueueCache):
             c.hits = 0
             c.reqs = 0
 
-    def _tick(self, hit: bool) -> None:
+    def _after_request(self, hit: bool) -> None:
         c = self._pop[self._active]
         c.reqs += 1
         if hit:
@@ -100,54 +100,41 @@ class DGIPPRCache(QueueCache):
             if self._active == 0:
                 self._evolve()
 
-    def request(self, req: Request) -> bool:
-        hit = super().request(req)
-        self._tick(hit)
-        return hit
-
     # -- placement ---------------------------------------------------------------
-    def _place_at_depth(self, node: Node, frac: float) -> None:
-        """Insert at ``frac`` of the queue from the LRU end (1.0 == MRU).
+    def _depth(self, frac: float, node: Optional[Node] = None):
+        """Where ``frac`` of the queue from the LRU end lies (1.0 == MRU),
+        counting the queue without ``node`` (a hit being re-placed).
 
         Walks at most ``_MAX_WALK`` steps so cost stays bounded; beyond that
         the distinction between depths is immaterial for eviction order.
         """
-        _MAX_WALK = 32
-        if frac >= 0.999 or not len(self.queue):
-            self.queue.push_mru(node)
-            node.inserted_mru = True
-            return
-        node.inserted_mru = False
-        steps = min(int(len(self.queue) * frac), _MAX_WALK)
+        n = len(self.queue) - (node is not None)
+        if frac >= 0.999 or not n:
+            return MRU_POS
+        steps = min(int(n * frac), _MAX_WALK)
         if steps == 0:
-            self.queue.push_lru(node)  # depth 0 == the exact LRU position
-            return
+            return LRU_POS  # depth 0 == the exact LRU position
         anchor = self.queue.tail
+        if anchor is node:
+            anchor = node.prev
         for _ in range(steps - 1):
-            if anchor is None or anchor.prev is None or anchor.prev.key is None:
+            prev = anchor.prev
+            if prev is node:
+                prev = prev.prev
+            if prev.key is None:
                 break
-            anchor = anchor.prev
-        if anchor is None:
-            self.queue.push_lru(node)
-        else:
-            self.queue.insert_before(node, anchor)
+            anchor = prev
+        return anchor
 
-    def _miss(self, req: Request) -> None:
-        self._make_room(req.size)
-        node = Node(req.key, req.size)
-        node.data = 0  # hit count
-        self._place_at_depth(node, self._pop[self._active].genes[0])
-        self.index[req.key] = node
-        self.used += req.size
-        self._on_insert(node, req)
+    def _insert_position(self, key: int, size: int):
+        return self._depth(self._pop[self._active].genes[0])
 
-    def _on_hit(self, node: Node, req: Request) -> None:
-        hits = (node.data or 0) + 1
+    def _on_hit(self, node: Node):
+        hits = (node.data or 0) + 1  # node.data: this residency's hit count
         node.data = hits
-        gene = min(hits, GENE_COUNT - 1)
-        frac = self._pop[self._active].genes[gene]
-        self.queue.unlink(node)
-        self._place_at_depth(node, frac)
+        where = self._depth(self._pop[self._active].genes[min(hits, GENE_COUNT - 1)], node)
+        node.inserted_mru = where == MRU_POS
+        return where
 
     def metadata_bytes(self) -> int:
         return 110 * len(self) + 8 * GENE_COUNT * len(self._pop)

@@ -21,7 +21,6 @@ import random
 from typing import List, Optional
 
 from repro.cache.base import LRU_POS, MRU_POS, QueueCache
-from repro.sim.request import Request
 
 __all__ = ["DTACache"]
 
@@ -67,17 +66,16 @@ class DTACache(QueueCache):
     def _group(self, key: int) -> int:
         return hash(key) % self._GROUPS
 
-    def request(self, req: Request) -> bool:
-        g = self._group(req.key)
+    def _on_access(self, key: int, size: int) -> None:
+        g = self._group(key)
         if g < len(self._CANDIDATES):
             self._leader_reqs[g] += 1
-            if not self._lookup(req.key):
+            if key not in self.index:
                 self._leader_misses[g] += 1
         self._maybe_epoch()
-        return super().request(req)
 
-    def _insert_position(self, req: Request) -> int:
-        g = self._group(req.key)
+    def _insert_position(self, key: int, size: int) -> int:
+        g = self._group(key)
         p_mru = (
             self._CANDIDATES[g]
             if g < len(self._CANDIDATES)

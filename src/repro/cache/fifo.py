@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.cache.base import QueueCache
 from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["FIFOCache"]
 
@@ -20,6 +19,6 @@ class FIFOCache(QueueCache):
 
     name = "FIFO"
 
-    def _on_hit(self, node: Node, req: Request) -> None:
+    def _on_hit(self, node: Node) -> Node:
         # No promotion: arrival order is eviction order.
-        return
+        return node

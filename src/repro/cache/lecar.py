@@ -18,10 +18,9 @@ import math
 import random
 from typing import Optional
 
-from repro.cache.base import QueueCache
+from repro.cache.base import MRU_POS, QueueCache
 from repro.cache.queue import Node
 from repro.core.history import HistoryList
-from repro.sim.request import Request
 
 __all__ = ["LeCaRCache"]
 
@@ -89,10 +88,11 @@ class LeCaRCache(QueueCache):
         return victim
 
     # -- regret updates ----------------------------------------------------------------
-    def _blame(self, key: int) -> None:
+    def _before_admit(self, key: int, size: int) -> bool:
+        """Blame the expert whose ghost holds ``key``; admit it either way."""
         t = self._ghost_time.pop(key, None)
         if t is None:
-            return
+            return True
         reward = self.discount ** (self.clock - t)
         in_lru = self.ghost_lru.delete(key)
         in_lfu = self.ghost_lfu.delete(key)
@@ -103,18 +103,15 @@ class LeCaRCache(QueueCache):
         total = self.w_lru + self.w_lfu
         self.w_lru /= total
         self.w_lfu = 1.0 - self.w_lru
+        return True
 
     # -- hooks ----------------------------------------------------------------------------
-    def _miss(self, req: Request) -> None:
-        self._blame(req.key)
-        super()._miss(req)
+    def _on_insert(self, node: Node) -> None:
+        self._freq[node.key] = self._freq.get(node.key, 0) + 1
 
-    def _on_insert(self, node: Node, req: Request) -> None:
-        self._freq[req.key] = self._freq.get(req.key, 0) + 1
-
-    def _on_hit(self, node: Node, req: Request) -> None:
-        self._freq[req.key] = self._freq.get(req.key, 0) + 1
-        self.queue.move_to_mru(node)
+    def _on_hit(self, node: Node) -> int:
+        self._freq[node.key] = self._freq.get(node.key, 0) + 1
+        return MRU_POS
 
     def _on_evict(self, node: Node) -> None:
         chooser = node.data if node.data in ("lru", "lfu") else "lru"

@@ -18,8 +18,6 @@ import random
 from typing import Optional
 
 from repro.cache.base import LRU_POS, MRU_POS, QueueCache
-from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["LIPCache", "BIPCache", "DIPCache"]
 
@@ -29,7 +27,7 @@ class LIPCache(QueueCache):
 
     name = "LIP"
 
-    def _insert_position(self, req: Request) -> int:
+    def _insert_position(self, key: int, size: int) -> int:
         return LRU_POS
 
 
@@ -53,7 +51,7 @@ class BIPCache(QueueCache):
         self.epsilon = epsilon
         self.rng = rng or random.Random(0)
 
-    def _insert_position(self, req: Request) -> int:
+    def _insert_position(self, key: int, size: int) -> int:
         return MRU_POS if self.rng.random() < self.epsilon else LRU_POS
 
 
@@ -91,8 +89,8 @@ class DIPCache(QueueCache):
             return self.BIP_LEADER
         return self.FOLLOWER
 
-    def _insert_position(self, req: Request) -> int:
-        g = self._group(req.key)
+    def _insert_position(self, key: int, size: int) -> int:
+        g = self._group(key)
         if g == self.LRU_LEADER:
             # A miss for an LRU-leader key is evidence against pure LRU.
             self.psel = min(self.psel + 1, self._PSEL_MAX)

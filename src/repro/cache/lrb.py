@@ -36,7 +36,6 @@ from repro.cache.base import QueueCache
 from repro.cache.queue import Node
 from repro.ml.features import N_FEATURES, FeatureTracker
 from repro.ml.gbm import GBMRegressor
-from repro.sim.request import Request
 
 __all__ = ["RelaxedBeladyLearner", "LRBCache"]
 
@@ -166,8 +165,8 @@ class RelaxedBeladyLearner:
 class LRBCache(QueueCache):
     """LRB with plain LRU insertion/promotion (the original's choice).
 
-    Its insert/evict hooks pass on to the next class in the MRO, so
-    :class:`repro.core.enhance.ASCIPLRB` stacks it over ASC-IP's insertion.
+    Its four extension points are the ones SCIP's kernel reads too, so
+    :class:`repro.core.enhance.SCIPLRB` takes them as they are.
     """
 
     name = "LRB"
@@ -176,16 +175,13 @@ class LRBCache(QueueCache):
         super().__init__(capacity)
         self.learner = RelaxedBeladyLearner(**learner_kwargs)
 
-    def request(self, req: Request) -> bool:
-        self.learner.on_access(req.key, req.size, self.clock + 1)
-        return super().request(req)
+    def _on_access(self, key: int, size: int) -> None:
+        self.learner.on_access(key, size, self.clock + 1)
 
-    def _on_insert(self, node: Node, req: Request) -> None:
-        super()._on_insert(node, req)
+    def _on_insert(self, node: Node) -> None:
         self.learner.track_insert(node.key)
 
     def _on_evict(self, node: Node) -> None:
-        super()._on_evict(node)
         self.learner.track_evict(node.key)
 
     def _choose_victim(self) -> Node:

@@ -14,11 +14,10 @@ __all__ = ["LRUCache"]
 class LRUCache(QueueCache):
     """Classic size-aware LRU.
 
-    All three hooks are the :class:`QueueCache` defaults; the class exists to
-    give the baseline a name and a stable import point.  Because nothing is
-    overridden, bulk replay takes the fully-inlined fast loop in
-    :meth:`QueueCache.replay` — LRU is the engine benchmark's headline
-    policy for exactly that reason.
+    Every extension point is the :class:`QueueCache` default, so the class
+    exists to give the baseline a name and a stable import point: the
+    kernel with nothing set is LRU, through either driver and under any
+    probe.
     """
 
     name = "LRU"

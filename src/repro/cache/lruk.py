@@ -18,9 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.cache.base import QueueCache
+from repro.cache.base import MRU_POS, QueueCache
 from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["LRUKCache"]
 
@@ -46,12 +45,12 @@ class LRUKCache(QueueCache):
         self.k = k
         self.sample = sample
 
-    def _on_insert(self, node: Node, req: Request) -> None:
+    def _on_insert(self, node: Node) -> None:
         node.data = deque([self.clock], maxlen=self.k)
 
-    def _on_hit(self, node: Node, req: Request) -> None:
+    def _on_hit(self, node: Node) -> int:
         node.data.append(self.clock)
-        self.queue.move_to_mru(node)
+        return MRU_POS
 
     def _kdist(self, node: Node) -> float:
         hist = node.data

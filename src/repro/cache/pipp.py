@@ -9,7 +9,9 @@ Positional insertion in a size-aware linked queue is implemented with a
 *finger pointer* kept ``insert_frac`` of the way from the LRU end (in object
 count).  The finger is recalibrated lazily every ``_RECAL`` operations by a
 short walk, keeping amortised cost O(1); exact positioning is not required —
-PIPP itself only needs "somewhere mid-queue".
+PIPP itself only needs "somewhere mid-queue".  The hooks name the finger
+(insertion) or the toward-MRU neighbour (promotion) as the anchor; the
+queue kernel does the linking.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.cache.base import QueueCache
+from repro.cache.base import LRU_POS, QueueCache
 from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["PIPPCache"]
 
@@ -73,29 +74,26 @@ class PIPPCache(QueueCache):
         self._ops += 1
         if self._finger is None or self._ops % self._RECAL == 0:
             self._recalibrate()
-        # The finger may have been unlinked (evicted / promoted) since the
-        # last recalibration; detect via cleared links.
+        # The finger may have left the cache (evicted / removed) since the
+        # last recalibration; a resident node is the index's own.
         f = self._finger
-        if f is not None and f.next is None and f.prev is None:
+        if f is not None and self.index.get(f.key) is not f:
             self._recalibrate()
             f = self._finger
         return f
 
     # -- hooks ----------------------------------------------------------------
-    def _miss(self, req: Request) -> None:
-        self._make_room(req.size)
-        node = Node(req.key, req.size)
-        node.inserted_mru = False  # mid-queue counts as non-MRU
+    def _insert_position(self, key: int, size: int):
+        """Before the finger (mid-queue counts as non-MRU)."""
         anchor = self._finger_node()
         if anchor is None or len(self.queue) == 0 or self.insert_frac == 0.0:
             # frac 0 means the exact LRU position, not one above the tail.
-            self.queue.push_lru(node)
-        else:
-            self.queue.insert_before(node, anchor)
-        self.index[req.key] = node
-        self.used += req.size
-        self._on_insert(node, req)
+            return LRU_POS
+        return anchor
 
-    def _on_hit(self, node: Node, req: Request) -> None:
-        if self.rng.random() < self.p_prom:
-            self.queue.promote_one(node)
+    def _on_hit(self, node: Node) -> Node:
+        """One step toward MRU with probability ``p_prom``: before the
+        neighbour on that side (a node at the MRU end stays)."""
+        if self.rng.random() < self.p_prom and node.prev.key is not None:
+            return node.prev
+        return node

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.cache.base import LRU_POS, MRU_POS, QueueCache
 from repro.cache.queue import Node
-from repro.sim.request import Request
 
 __all__ = ["SHiPCache"]
 
@@ -44,25 +43,24 @@ class SHiPCache(QueueCache):
         # Weak-reuse start: 1 means "unknown, lean MRU" until evidence lands.
         self._shct = [1] * table_size
 
-    def _signature(self, key: int, size: int) -> int:
+    def _signature(self, key: int) -> int:
         # Key-group signature: 64 adjacent key hashes share a signature,
         # the object-cache analog of instructions sharing a PC region.
         return (hash(key) // 64) % self.table_size
 
-    def _insert_position(self, req: Request) -> int:
-        sig = self._signature(req.key, req.size)
-        return LRU_POS if self._shct[sig] == 0 else MRU_POS
+    def _insert_position(self, key: int, size: int) -> int:
+        return LRU_POS if self._shct[self._signature(key)] == 0 else MRU_POS
 
-    def _on_insert(self, node: Node, req: Request) -> None:
-        node.data = self._signature(req.key, req.size)
+    def _on_insert(self, node: Node) -> None:
+        node.data = self._signature(node.key)
 
-    def _on_hit(self, node: Node, req: Request) -> None:
+    def _on_hit(self, node: Node) -> int:
         sig = node.data
         if sig is not None:
             c = self._shct[sig]
             if c < self.max_counter:
                 self._shct[sig] = c + 1
-        self.queue.move_to_mru(node)
+        return MRU_POS
 
     def _on_evict(self, node: Node) -> None:
         if not node.hit_token and node.data is not None:

@@ -17,9 +17,10 @@ reference, and this module provides exactly those four hybrids:
 * :class:`ASCIPLRUK` / :class:`ASCIPLRB` — the same hosts with ASC-IP's
   size-threshold insertion, the paper's reference enhancer.
 
-The SCIP hybrids ride SCIP's kernel through its extension points (a victim
-chooser, an access callback, insert/evict callbacks); the ASC-IP ones use
-the :class:`~repro.cache.base.QueueCache` hooks.
+Both kernels read one set of extension-point names (a victim chooser, an
+access callback, insert/evict callbacks), so each host's are written once:
+the SCIP hybrids ride SCIP's kernel with them, the ASC-IP ones the
+:class:`~repro.cache.base.QueueCache` kernel.
 
 SCIP cannot be composed with multi-chain structures (ARC, S4LRU) — the
 paper flags this as future work, and :func:`enhance` refuses those hosts.
@@ -35,7 +36,6 @@ from repro.cache.ascip import ASCIPCache
 from repro.cache.lrb import LRBCache, RelaxedBeladyLearner
 from repro.cache.queue import Node
 from repro.core.scip import SCIPCache
-from repro.sim.request import Request
 
 __all__ = ["SCIPLRUK", "SCIPLRB", "ASCIPLRUK", "ASCIPLRB", "enhance"]
 
@@ -44,8 +44,8 @@ class _LRUKVictimMixin:
     """LRU-K victim selection over a recency queue.
 
     Access-time histories live in a side dict (``node.data`` belongs to the
-    placement policy), retained past eviction as LRU-K prescribes and pruned
-    periodically.
+    placement policy), filled by the access callback, retained past
+    eviction as LRU-K prescribes and pruned periodically.
     """
 
     def _init_lruk(self, k: int = 2, sample: int = 16) -> None:
@@ -57,7 +57,7 @@ class _LRUKVictimMixin:
         self.sample = sample
         self._atimes: Dict[int, deque] = {}
 
-    def _record_access(self, key: int) -> None:
+    def _on_access(self, key: int, size: int) -> None:
         hist = self._atimes.get(key)
         if hist is None:
             hist = deque(maxlen=self.k)
@@ -99,9 +99,6 @@ class SCIPLRUK(_LRUKVictimMixin, SCIPCache):
         super().__init__(capacity, **scip_kwargs)
         self._init_lruk(k=k, sample=sample)
 
-    def _on_access(self, key: int, size: int) -> None:
-        self._record_access(key)
-
     def metadata_bytes(self) -> int:
         return super().metadata_bytes() + (8 * self.k + 16) * len(self._atimes)
 
@@ -115,10 +112,6 @@ class ASCIPLRUK(_LRUKVictimMixin, ASCIPCache):
         super().__init__(capacity, **ascip_kwargs)
         self._init_lruk(k=k, sample=sample)
 
-    def request(self, req: Request) -> bool:
-        self._record_access(req.key)
-        return super().request(req)
-
 
 class SCIPLRB(SCIPCache):
     """LRB victim model + SCIP insertion/promotion (Figure 12)."""
@@ -129,16 +122,10 @@ class SCIPLRB(SCIPCache):
         super().__init__(capacity, **scip_kwargs)
         self.learner = RelaxedBeladyLearner(**(learner_kwargs or {}))
 
+    _on_access = LRBCache._on_access
     _choose_victim = LRBCache._choose_victim
-
-    def _on_access(self, key: int, size: int) -> None:
-        self.learner.on_access(key, size, self.clock + 1)
-
-    def _on_admitted(self, key: int) -> None:
-        self.learner.track_insert(key)
-
-    def _on_evicted(self, key: int) -> None:
-        self.learner.track_evict(key)
+    _on_insert = LRBCache._on_insert
+    _on_evict = LRBCache._on_evict
 
     def metadata_bytes(self) -> int:
         return super().metadata_bytes() + self.learner.metadata_bytes()
@@ -152,6 +139,10 @@ class ASCIPLRB(LRBCache, ASCIPCache):
     def __init__(self, capacity: int, learner_kwargs: Optional[dict] = None, **ascip_kwargs):
         ASCIPCache.__init__(self, capacity, **ascip_kwargs)
         self.learner = RelaxedBeladyLearner(**(learner_kwargs or {}))
+
+    def _on_evict(self, node: Node) -> None:
+        ASCIPCache._on_evict(self, node)  # the threshold learns from the victim too
+        LRBCache._on_evict(self, node)
 
     # the footprint of ASC-IP alone: the learner is not counted
     metadata_bytes = ASCIPCache.metadata_bytes

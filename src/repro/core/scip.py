@@ -89,10 +89,12 @@ confidence map is cut to the keys in ``H_m``, ``H_l`` or the cache once it
 holds more than ``4·(|H_m| + |H_l|) + 4096``.
 
 **One statement, two drivers.**  All of the above is written once, in the
-resumable kernel :meth:`SCIPCache._kernel`.  :meth:`~SCIPCache.request`
-sends it one request; :meth:`~SCIPCache.replay_columns` runs the same body
-over a chunk's columns; :meth:`~SCIPCache.admit` is an off-record step of
-it.
+resumable kernel :meth:`SCIPCache._kernel`.  The drivers are
+:class:`~repro.cache.base.QueueCache`'s: :meth:`~repro.cache.base.QueueCache.request`
+sends it one request, :meth:`~repro.cache.base.QueueCache.replay_columns`
+runs the same body over a chunk's columns, and
+:meth:`~repro.cache.base.QueueCache.admit` and ``_make_room(0)`` are
+off-record steps of it.
 """
 
 from __future__ import annotations
@@ -101,12 +103,11 @@ import math
 import random
 from typing import Optional
 
-from repro.cache.base import QueueCache
+from repro.cache.base import _CONTROL, QueueCache
 from repro.cache.queue import Node
 from repro.core.history import HistoryList
 from repro.core.learning import LAMBDA_MAX, LAMBDA_MIN, LearningRateController
 from repro.core.mab import PositionBandit
-from repro.sim.request import Request
 
 __all__ = ["SCIPCache", "NORMAL", "DENIED", "DEMOTED", "SUSPECT", "CLEARED"]
 
@@ -117,11 +118,6 @@ DENIED = 1    # inserted at LRU as a recognised recurring ZRO
 DEMOTED = 2   # demoted on a hit as a recognised P-ZRO
 SUSPECT = 4   # next hit should be demoted (node-only bit)
 CLEARED = 3   # a past P-ZRO suspicion was disproved: do not re-arm
-
-#: The key slot of a kernel message that is not a recorded request: the
-#: size slot then holds an off-record ``(key, size)`` step, or ``None`` to park.
-_CONTROL = object()
-_PARK = (_CONTROL, None)
 
 
 class SCIPCache(QueueCache):
@@ -176,16 +172,10 @@ class SCIPCache(QueueCache):
 
     # -- extension points: how SCI and the Figure 12 hosts ride the kernel ---------
     #: SCI (Algorithm 3): a hit re-inserts at MRU with its flags untouched.
+    #: The kernel also reads :class:`~repro.cache.base.QueueCache`'s
+    #: ``_on_access``, ``_choose_victim``, ``_on_insert`` and ``_on_evict``
+    #: (LRU-K's access history, LRB's learner); placement is its own.
     always_mru = False
-    #: ``() -> Node``, the eviction victim; ``None`` evicts the LRU end.
-    #: (SCIP never calls :meth:`QueueCache._choose_victim`.)
-    _choose_victim = None
-    #: ``(key, size)`` before each recorded request, ``self.clock`` not yet
-    #: advanced (LRU-K's access history, LRB's feature tracker).
-    _on_access = None
-    #: ``(key)`` after an insert / after an eviction (LRB's candidate pool).
-    _on_admitted = None
-    _on_evicted = None
 
     def __init__(
         self,
@@ -252,76 +242,14 @@ class SCIPCache(QueueCache):
         (``ghost_hit``, ``episode_transition``, ``admit``/``evict``) plus
         the bandit's ``weight_update`` and the λ controller's
         ``lambda_update``/``lambda_restart``."""
-        self._park()
         super().attach_probe(probe)
         self.bandit.attach_probe(probe)
         self.lr.attach_probe(probe)
 
     def detach_probe(self) -> None:
-        self._park()
         super().detach_probe()
         self.bandit.detach_probe()
         self.lr.detach_probe()
-
-    # -- the drivers ---------------------------------------------------------------
-    def request(self, req: Request) -> bool:
-        return self._send((req.key, req.size))
-
-    def _send(self, message):
-        """Prime a kernel from instance state and hand it ``message``.  While
-        it lives, ``self._send`` is the kernel's own ``send``."""
-        kernel = self._kernel()
-        next(kernel)
-        self._send = kernel.send
-        return kernel.send(message)
-
-    def _park(self) -> None:
-        """Stop the live kernel, if any, with every field written back; the
-        next message primes a new one from instance state.  Out-of-band
-        writes (:meth:`remove`, a probe change, a chunk replay) park first."""
-        send = self.__dict__.get("_send")
-        if send is not None:
-            try:
-                send(_PARK)
-            except StopIteration:
-                pass
-
-    def admit(self, key: int, size: int) -> bool:
-        """:meth:`CachePolicy.admit` as an off-record step of the kernel: the
-        admission's ghost lookup, learning and evictions all run, at the
-        current clock, with no request counted."""
-        if size > self.capacity or key in self.index:
-            return False
-        self._send((_CONTROL, (key, size)))
-        return True
-
-    def remove(self, key: int) -> Optional[Node]:
-        self._park()
-        return super().remove(key)
-
-    def _make_room(self, need: int) -> None:
-        """Evict by SCIP's rule down to capacity (``need`` must be 0: how a
-        quota shrink calls it) — an off-record step of an object too large
-        to admit, whose bypass touches nothing but the eviction loop."""
-        if need:
-            raise ValueError(f"SCIP makes room only down to its capacity, got need={need}")
-        self._send((_CONTROL, (_CONTROL, self.capacity + 1)))
-
-    def replay(self, requests, out: Optional[list] = None) -> None:
-        if not isinstance(requests, (list, tuple)):
-            requests = list(requests)
-        self.replay_columns([r.key for r in requests], [r.size for r in requests], out)
-
-    def replay_columns(self, keys: list, sizes: list, out: Optional[list] = None) -> None:
-        """Replay parallel ``keys``/``sizes`` lists (a trace chunk's columns):
-        the kernel's body run over them in one loop, counters in locals
-        written back at the end, so a trace split across calls equals one
-        call and equals one :meth:`request` per element."""
-        if len(keys) != len(sizes):
-            raise ValueError(f"keys/sizes length mismatch: {len(keys)} vs {len(sizes)}")
-        self._park()
-        for _ in self._kernel(keys, sizes, out):
-            pass
 
     # -- the kernel ----------------------------------------------------------------
     def _kernel(self, keys: Optional[list] = None, sizes=None, out: Optional[list] = None):
@@ -374,14 +302,14 @@ class SCIPCache(QueueCache):
         always_mru = self.always_mru
         choose = self._choose_victim
         access = self._on_access
-        on_admitted = self._on_admitted
-        on_evicted = self._on_evicted
+        on_insert = self._on_insert
+        on_evict = self._on_evict
         probe = self._probe
         bprobe = bandit._probe
         emit = probe.emit if probe is not None and not (chunked and probe.folds) else None
         wemit = bprobe.emit if bprobe is not None and not (chunked and bprobe.folds) else None
         folding = chunked and ((probe is not None and emit is None) or (bprobe is not None and wemit is None))
-        hooked = not (choose is None and access is None and on_admitted is None and on_evicted is None)
+        hooked = not (choose is None and access is None and on_insert is None and on_evict is None)
         # A step keeps self.clock current unless nothing reads it mid-chunk.
         plain = chunked and emit is None and wemit is None and not hooked
         # Local mirrors of instance state.
@@ -653,8 +581,8 @@ class SCIPCache(QueueCache):
                             entries[vkey] = (vsize, victim.hit_token or 0, flag, clock)
                             hbytes += vsize
                         hist.bytes = hbytes
-                        if on_evicted is not None:
-                            on_evicted(vkey)
+                        if on_evict is not None:
+                            on_evict(victim)
                         if emit is not None:
                             emit("evict", key=vkey, size=vsize, hits=victim.hit_token or 0,
                                  mru=victim.inserted_mru)
@@ -686,8 +614,8 @@ class SCIPCache(QueueCache):
                         qbytes += size
                         index[key] = node
                         used += size
-                        if on_admitted is not None:
-                            on_admitted(key)
+                        if on_insert is not None:
+                            on_insert(node)
                         if probe is not None:
                             if emit is not None:
                                 emit("admit", key=key, size=size, mru=to_mru)

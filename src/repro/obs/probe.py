@@ -13,18 +13,18 @@ columns it emits them only to a probe with a sink that needs records
 whose sinks all take aggregates (:attr:`Probe.folds` — the lone
 ``RegistryRecorder`` a default ``ObsConfig()`` builds) is handed counts
 through :meth:`Probe.fold` at window edges instead.  Which happens is read
-off the probe's sinks, never set.  The LRU loop
-(:meth:`repro.cache.base.QueueCache._fast_replay_eligible`) still steps
-aside for any probe.
+off the probe's sinks, never set.  Every other queue policy's events come
+from the one :meth:`QueueCache._kernel <repro.cache.base.QueueCache._kernel>`,
+which emits one record per event to any probe under either driver.
 
 Event vocabulary (see ``docs/obs_schema.md`` for the field tables):
 
 ==================== ==========================================================
 event                emitted by
 ==================== ==========================================================
-``admit``            ``QueueCache._miss``, SCIP's kernel — object inserted
-                     (MRU or LRU end)
-``evict``            ``QueueCache.evict_node``, SCIP's kernel — victim left
+``admit``            ``QueueCache``'s kernel, SCIP's kernel — object
+                     inserted (MRU, LRU end or mid-queue)
+``evict``            ``QueueCache``'s kernel, SCIP's kernel — victim left
                      the cache
 ``ghost_hit``        SCIP's kernel — re-request found in H_m / H_l
 ``episode_transition`` SCIP's kernel, the per-object machine: DENIED /

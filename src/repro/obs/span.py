@@ -378,7 +378,9 @@ class Tracer:
         critical_count, critical_total_us}}`` — ``critical_total_us`` is the
         wall time this stage contributed to root latency after subtracting
         child stages (see :func:`critical_path`), so the critical columns
-        sum to total root latency across traces.
+        sum to total root latency across traces.  The two totals are sums
+        of integer nanoseconds, left unrounded so they reconcile exactly;
+        renderers round for display.
         """
         out: dict = {}
         for stage, (count, total_ns) in sorted(self._stage_ns.items()):
@@ -388,12 +390,12 @@ class Tracer:
             crit = self._crit_ns.get(stage, (0, 0))
             out[stage] = {
                 "count": count,
-                "total_us": round(total_ns / 1000.0, 1),
+                "total_us": total_ns / 1000.0,
                 "mean_us": round(total_ns / count / 1000.0, 2) if count else 0.0,
                 "p50_us": hist.quantile(0.5),
                 "p99_us": hist.quantile(0.99),
                 "critical_count": crit[0],
-                "critical_total_us": round(crit[1] / 1000.0, 1),
+                "critical_total_us": crit[1] / 1000.0,
             }
         return out
 

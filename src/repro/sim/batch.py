@@ -384,14 +384,15 @@ class BatchLRU:
     def _spill(self) -> None:
         self.spills += 1
         policy = LRUCache(self.capacity)
+        # Before the first admission primes the policy's kernel from them.
+        policy.stats = self.stats  # shared object: counters stay unified
+        policy.clock = self.clock
         rel = self._live_rel()
         # Ascending slot order is oldest-first; admitting each in turn
         # rebuilds the exact recency order.
         for k, s in zip(self.slot_key[rel].tolist(), self.slot_size[rel].tolist()):
             policy.import_resident(k, s)
         assert policy.used == self.used, (policy.used, self.used)
-        policy.stats = self.stats  # shared object: counters stay unified
-        policy.clock = self.clock
         self._policy = policy
         self.slot_key = self.slot_size = self.slot_next = None  # type: ignore[assignment]
         self.map = None  # type: ignore[assignment]

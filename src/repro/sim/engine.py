@@ -158,11 +158,11 @@ def simulate(
         set — a run manifest is written.  Decisions are unchanged.  Which
         replay path runs is read off the sinks the config builds: ``ring``,
         ``trace_out`` and ``snapshot_every`` need every record, which SCIP's
-        kernel emits as it goes and for which LRU's loop gives way to the
-        instrumented per-request path; a config with none of them
+        kernel emits as it goes; a config with none of them
         (``ObsConfig()``, with or without ``manifest_out``) only feeds the
-        registry, and SCIP's kernel folds that in over a chunk (LRU's loop
-        still steps aside).
+        registry, and SCIP's kernel folds that in over a chunk.  The
+        ``QueueCache`` kernel every other queue policy runs emits every
+        record either way.
     """
     if fast and (interval > 0 or measure_memory):
         raise ValueError(

@@ -127,12 +127,6 @@ class TenantPartitionedCache(CachePolicy):
     def _lookup(self, key) -> bool:
         return self.inners[self.tenant_of(key)]._lookup(key)
 
-    def _hit(self, req: Request) -> None:  # pragma: no cover - request() routes
-        self.inners[self.tenant_of(req.key)]._hit(req)
-
-    def _miss(self, req: Request) -> None:  # pragma: no cover - request() routes
-        self.inners[self.tenant_of(req.key)]._miss(req)
-
     def contains(self, key) -> bool:
         return self.inners[self.tenant_of(key)].contains(key)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from repro.cache.base import QueueCache
+from repro.cache.base import LRU_POS, MRU_POS, QueueCache
 from repro.cache.queue import Node
 from repro.sim.request import Request, Trace
 
@@ -99,23 +99,18 @@ class _TrackingLRU(QueueCache):
         self._now = idx
         return self.request(req)
 
-    def _insert_position(self, req: Request) -> int:
-        from repro.cache.base import LRU_POS, MRU_POS
-
+    def _insert_position(self, key: int, size: int) -> int:
         return LRU_POS if self._now in self.treat_miss else MRU_POS
 
-    def _on_insert(self, node: Node, req: Request) -> None:
+    def _on_insert(self, node: Node) -> None:
         # data = [insert_event_idx, last_hit_event_idx or None]
         node.data = [self._now, None]
 
-    def _on_hit(self, node: Node, req: Request) -> None:
+    def _on_hit(self, node: Node) -> int:
         rec = node.data
         if rec is not None:
             rec[1] = self._now
-        if self._now in self.treat_hit:
-            self.queue.move_to_lru(node)
-        else:
-            self.queue.move_to_mru(node)
+        return LRU_POS if self._now in self.treat_hit else MRU_POS
 
     def _finalize(self, node: Node) -> None:
         rec = node.data
@@ -195,16 +190,11 @@ class _TreatedLRU(QueueCache):
         self._now = idx
         return self.request(req)
 
-    def _insert_position(self, req: Request) -> int:
-        from repro.cache.base import LRU_POS, MRU_POS
-
+    def _insert_position(self, key: int, size: int) -> int:
         return LRU_POS if self._now in self.treat_miss else MRU_POS
 
-    def _on_hit(self, node: Node, req: Request) -> None:
-        if self._now in self.treat_hit:
-            self.queue.move_to_lru(node)
-        else:
-            self.queue.move_to_mru(node)
+    def _on_hit(self, node: Node) -> int:
+        return LRU_POS if self._now in self.treat_hit else MRU_POS
 
 
 def treated_replay(

@@ -107,7 +107,7 @@ class TestSHiP:
     def test_reuse_trains_counter_up(self):
         c = SHiPCache(1_000, table_size=64)
         c.request(Request(0, 5, 10))
-        sig = c._signature(5, 10)
+        sig = c._signature(5)
         before = c._shct[sig]
         c.request(Request(1, 5, 10))
         assert c._shct[sig] == min(before + 1, c.max_counter)

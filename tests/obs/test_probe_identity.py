@@ -4,9 +4,9 @@ the cache does*.
 Two halves:
 
 * replay with a probe attached is bit-identical to the committed golden
-  traces (same hit/miss SHA the bare fast path is pinned to), and
-* the disabled path really is disabled — no instance state, fast-replay
-  eligibility restored on detach, zero events emitted.
+  traces (same hit/miss SHA the bare replay is pinned to), and
+* the disabled path really is disabled — no instance state, zero events
+  emitted.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ def _hit_seq_sha256(flags) -> str:
 
 @pytest.mark.parametrize("pname", sorted(POLICIES))
 def test_replay_with_probe_matches_golden_traces(pname, cdn_t_small):
-    """A replay under a probe — the per-request hook path for LRU and ARC,
-    the column loop folding for this registry-only probe on SCIP — produces
-    the exact decision sequence the golden snapshots pin."""
+    """A replay under a probe — LRU's kernel emitting a record per event,
+    ARC's per-request template, SCIP's kernel folding for this
+    registry-only probe — produces the exact decision sequence the golden
+    snapshots pin."""
     trace = cdn_t_small
     gold = GOLDEN[f"CDN-T|0.02|{pname}"]
     policy = POLICIES[pname](gold["capacity"])
@@ -65,15 +66,6 @@ def test_replay_with_probe_matches_golden_traces(pname, cdn_t_small):
             snap["events"]["event=admit"]["value"]
             == policy.stats.misses - policy.stats.bypasses
         )
-
-
-def test_probe_attach_disables_fast_replay_and_detach_restores_it():
-    lru = LRUCache(10_000)
-    assert lru._fast_replay_eligible()
-    lru.attach_probe(Probe([]))
-    assert not lru._fast_replay_eligible()
-    lru.detach_probe()
-    assert lru._fast_replay_eligible()
 
 
 def test_detached_policy_emits_nothing(cdn_t_small):

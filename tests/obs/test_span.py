@@ -204,7 +204,7 @@ class TestCriticalPath:
         breakdown = tracer.stage_breakdown()
         crit_total = sum(v["critical_total_us"] for v in breakdown.values())
         root_total = breakdown["request"]["total_us"]
-        assert crit_total == pytest.approx(root_total, rel=0.01)
+        assert crit_total == pytest.approx(root_total, rel=1e-9)
 
 
 class TestClose:

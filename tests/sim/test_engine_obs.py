@@ -72,7 +72,7 @@ class TestSimulateObs:
         out = tmp_path / "ev.jsonl"
 
         class Exploding(LRUCache):
-            def request(self, req):
+            def _on_access(self, key, size):
                 raise RuntimeError("boom")
 
         policy = Exploding(_cap(cdn_t_small))
