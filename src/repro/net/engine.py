@@ -2,7 +2,10 @@
 
 The engine materialises one cache policy per :class:`~repro.net.topology.
 NetNode` (via the unified registry), attaches Zipf-rated receivers to the
-topology's edge nodes, and replays a trace one request at a time:
+topology's edge nodes, and replays a trace.  :meth:`NetEngine.serve` walks
+one request; :meth:`NetEngine.run` walks each block of requests the same
+way unless the block is feed-forward (below), which it sweeps instead.
+The walk:
 
 1. **Route.**  The request's receiver (``ZipfReceivers`` hashes the
    request index; :meth:`NetEngine.run` assigns a block of them at a
@@ -29,6 +32,29 @@ topology's edge nodes, and replays a trace one request at a time:
    its per-hop costs — a property the span tags pin
    (``net_hop`` spans carry ``sim_ms``).
 
+**The tier sweep.**  A block is *feed-forward* when the placement is
+exactly ``LCE``, no registry, probe or tracer is attached, no node is dead
+or slow, and the fault plan is absent or spent — :meth:`NetEngine.run`
+checks this per block.  Then each node sees exactly the requests that
+missed everywhere below it on their route, and its state depends on
+nothing else.  So ``run`` visits the nodes once per block in a
+topological order of the uplink DAG (every node after all nodes below it
+on any route — not level by level: one node can sit at different depths
+on different routes).  Each node replays the requests that reached it,
+merged in global order, with one ``policy.replay_columns`` call.  A hit
+serves the request; a miss climbs the next link of its own route.  This
+is exact, not an approximation.  ``contains`` is pure, so the walk's
+lookup followed by ``request`` is one ``request``.  An LCE copy is the
+``request`` of a miss.  Every policy owns its RNG, and no policy reads
+``req.time``.  The
+counters come from the hit masks, with ``copies_placed`` the sum of
+depths climbed.  Each request's latency is summed hop by hop in the
+walk's operation order.  The two float sums are then added left to right
+in request order: not ``sum()``, which is compensated since Python 3.12,
+and not ``np.sum``, which sums pairwise.  ``tests/net/
+test_engine_reference.py`` pins the sweep to a naive walker with ``==``
+for every non-oracle registry policy.
+
 Faults come from the cluster layer's :class:`~repro.cluster.faults.
 FaultPlan`, consumed by request offset.  A **killed** node is transparent:
 requests pay the hops through it but skip its lookup and never place
@@ -40,14 +66,17 @@ the served-error rate of a PoP-kill scenario is 0 by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from functools import reduce
+from graphlib import TopologicalSorter
+from itertools import islice
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cache.registry import make_policy
 from repro.cluster.faults import FaultPlan
-from repro.net.placement import PlacementStrategy, make_placement
+from repro.net.placement import LCE, PlacementStrategy, make_placement
 from repro.net.receivers import ZipfReceivers
 from repro.net.topology import ORIGIN, Link, Topology
 from repro.sim.request import Request
@@ -178,6 +207,14 @@ class NetEngine:
         # topology after this point is not seen by this engine.
         self._routes: Dict[tuple, _Route] = {}
         self._edge_routes = [self._fixed_route(edge) for edge in self.edges]
+        # The sweep's node order: every node after every node that links
+        # to it, so after all nodes below it on any route.
+        below: Dict[str, List[str]] = {name: [] for name in topology.nodes}
+        for name in topology.nodes:
+            for link in topology.uplinks(name):
+                if link.dst != ORIGIN:
+                    below[link.dst].append(name)
+        self._sweep_order = tuple(TopologicalSorter(below).static_order())
         self._observed = not (registry is None and probe is None and tracer is None)
         self.dead: set = set()
         self.slow_ms: Dict[str, float] = {}
@@ -403,20 +440,126 @@ class NetEngine:
     # -- replay drivers ----------------------------------------------------
     def run(self, trace) -> NetResult:
         """Replay a ``Trace`` or any iterable of requests (a generator is
-        consumed a block at a time, never materialised)."""
+        consumed a block at a time, never materialised).  A block the
+        engine finds feed-forward is swept tier by tier
+        (:meth:`_sweep`); any other is walked request by request."""
         requests = iter(getattr(trace, "requests", trace))
         serve, rx = self._serve, self.receivers
         while block := list(islice(requests, _BLOCK)):
+            start = self.clock
             if rx is None:
-                who = repeat(0)
+                who = np.zeros(len(block), dtype=np.int64)
             else:
-                start = self.clock
-                who = rx.assign_array(
-                    np.arange(start, start + len(block), dtype=np.int64)
-                ).tolist()
-            for req, receiver in zip(block, who):
-                serve(req, receiver)
+                who = rx.assign_array(np.arange(start, start + len(block), dtype=np.int64))
+            if self._feed_forward():
+                self._sweep(block, who)
+            else:
+                for req, receiver in zip(block, who.tolist()):
+                    serve(req, receiver)
         return self.result
+
+    def _feed_forward(self) -> bool:
+        """Whether each node's requests are exactly those that missed
+        everywhere below it: LCE, nothing observing, every node live and
+        at speed, no fault still to come."""
+        plan = self.fault_plan
+        return (
+            type(self.placement) is LCE
+            and not self._observed
+            and not self.dead
+            and not self.slow_ms
+            and (plan is None or plan.exhausted)
+        )
+
+    def _sweep(self, block: list, receivers: np.ndarray) -> None:
+        """Replay a feed-forward block one node at a time (the module
+        docstring says why this equals walking it).
+
+        Each node, in :attr:`_sweep_order`, replays the requests that
+        reached it — merged across the routes through it, in request
+        order — with one ``replay_columns`` call; a hit serves the
+        request, a miss climbs the next link of its route.
+        """
+        n = len(block)
+        keys = [req.key for req in block]
+        sizes = [req.size for req in block]
+        nbytes = np.array(sizes, dtype=np.int64)
+        bits = nbytes * 8.0
+        edge_of = receivers % len(self.edges)
+
+        # each request's route, as an index into this block's route table
+        fixed = self._edge_routes
+        if None not in fixed:
+            table, rid = fixed, edge_of
+        else:
+            table, slot, ids = [], {}, []
+            edges, path, resolve = self.edges, self.topology.path, self._route
+            for key, e in zip(keys, edge_of.tolist()):
+                route = fixed[e] or resolve(path(edges[e], key))
+                s = slot.get(id(route))
+                if s is None:
+                    s = slot[id(route)] = len(table)
+                    table.append(route)
+                ids.append(s)
+            rid = np.array(ids, dtype=np.int64)
+        order = np.argsort(rid, kind="stable")
+        climbing = np.split(order, np.cumsum(np.bincount(rid, minlength=len(table)))[:-1])
+        legs: Dict[str, list] = {}  # node -> [(route index, hop)]
+        for r, (hops, _) in enumerate(table):
+            for hop in hops:
+                legs.setdefault(hop[0], []).append((r, hop))
+
+        res, policies = self.result, self.policies
+        latency = np.zeros(n)
+        copies = 0
+        for name in self._sweep_order:
+            through = legs.get(name)
+            if through is None:
+                continue
+            if len(through) == 1:
+                idx = climbing[through[0][0]]
+            else:
+                idx = np.sort(np.concatenate([climbing[r] for r, _ in through]))
+            if not idx.size:
+                continue
+            at = idx.tolist()
+            out: list = []
+            policies[name].replay_columns(
+                list(map(keys.__getitem__, at)), list(map(sizes.__getitem__, at)), out
+            )
+            hit = np.array(out, dtype=bool)
+            st = res.tiers[through[0][1][1]]
+            seen = nbytes[idx]
+            st["lookups"] += idx.size
+            st["lookup_bytes"] += int(seen.sum())
+            st["hits"] += int(np.count_nonzero(hit))
+            st["hit_bytes"] += int(seen[hit].sum())
+            miss = ~hit
+            for r, (_, _, rtt_ms, bps, _) in through:
+                if len(through) == 1:
+                    up = idx[miss]
+                else:
+                    up = climbing[r]
+                    up = up[miss[np.searchsorted(idx, up)]]
+                # Link.transfer_ms's operation order, hop by hop up the route
+                latency[up] += rtt_ms + bits[up] / bps * 1e3
+                climbing[r] = up
+                copies += up.size  # LCE: a copy at every node climbed past
+
+        fetched = np.concatenate(climbing)  # climbed past every node
+        flags = np.ones(n, dtype=np.uint8)
+        flags[fetched] = 0
+        res.requests += n
+        res.cache_hits += n - fetched.size
+        res.origin_fetches += fetched.size
+        res.copies_placed += copies
+        res.hit_flags += flags.tobytes()
+        # left to right in request order, as _serve adds them: not sum()
+        # (compensated since Python 3.12), not np.sum (pairwise)
+        per_request = latency.tolist()
+        res.latency_ms_sum = reduce(add, per_request, res.latency_ms_sum)
+        res.hop_latency_ms_sum = reduce(add, per_request, res.hop_latency_ms_sum)
+        self.clock += n
 
     def run_bin(self, path, chunk_size: int = 1 << 20) -> NetResult:
         """Stream a ``.bin`` trace through :meth:`run`, one chunk of the
