@@ -265,3 +265,66 @@ class TestOriginPool:
         a = asyncio.run(run(3))
         b = asyncio.run(run(3))
         assert a == b and not all(a) and any(a)
+
+    @staticmethod
+    async def _settle(turns: int = 3) -> None:
+        for _ in range(turns):
+            await asyncio.sleep(0)
+
+    async def _pool_still_serves_two(self, origin) -> None:
+        """Afterwards the pool is whole: two new fetches run at once, and
+        a third still waits for one of them."""
+        assert origin.inflight == 0
+        batch = [asyncio.ensure_future(origin.fetch(k, 1)) for k in ("x", "y", "z")]
+        await self._settle()
+        assert origin.inflight == 2
+        await asyncio.gather(*batch)
+        assert origin.inflight == 0
+
+    def test_waiter_cancelled_while_queued(self):
+        async def run():
+            origin = SimulatedOrigin(
+                OriginConfig(latency_mean=0.01, concurrency=2, latency_jitter=0.0)
+            )
+            holders = [asyncio.ensure_future(origin.fetch(k, 1)) for k in ("a", "b")]
+            queued = asyncio.ensure_future(origin.fetch("c", 1))
+            await self._settle()
+            assert origin.inflight == 2 and not queued.done()
+            queued.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await queued
+            await asyncio.gather(*holders)
+            await self._pool_still_serves_two(origin)
+            return origin
+
+        origin = asyncio.run(run())
+        assert origin.inflight == 0 and origin.inflight_peak <= 2
+        assert origin.fetches_ok == 5
+
+    def test_waiter_cancelled_after_its_connection_was_released_to_it(self):
+        async def run():
+            origin = SimulatedOrigin(
+                OriginConfig(latency_mean=0.01, concurrency=2, latency_jitter=0.0)
+            )
+            queued: list = []
+
+            async def first():
+                await origin.fetch("a", 1)
+                # The release just handed this connection to the queued
+                # waiter; cancel it before it gets to run.
+                queued[0].cancel()
+
+            holders = [asyncio.ensure_future(first()), asyncio.ensure_future(origin.fetch("b", 1))]
+            await self._settle()
+            queued.append(asyncio.ensure_future(origin.fetch("c", 1)))
+            await self._settle()
+            assert origin.inflight == 2 and not queued[0].done()
+            await asyncio.gather(*holders)
+            with pytest.raises(asyncio.CancelledError):
+                await queued[0]
+            await self._pool_still_serves_two(origin)
+            return origin
+
+        origin = asyncio.run(run())
+        assert origin.inflight == 0 and origin.inflight_peak <= 2
+        assert origin.fetches_ok == 5
