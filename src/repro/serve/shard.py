@@ -310,71 +310,71 @@ class CacheShard:
     # -- origin fetch (leader) ---------------------------------------------
     async def _lead(self, key, size: int, span=None) -> FetchOutcome:
         """Fetch ``key`` and close its generation; only cancellation raises."""
+        m = self.metrics
+        probe = self.probe
         try:
-            outcome = await self._fetch(key, size, span)
+            m.origin_fetches.inc()
+            fspan = (
+                span.child("origin_fetch", shard=self.shard_id)
+                if span is not None
+                else None
+            )
+            if probe is None:
+                on_retry = self._count_retry
+            else:
+                probe.emit("fetch", key=key, size=size, shard=self.shard_id)
+
+                def on_retry(attempt: int, reason: str) -> None:
+                    m.origin_retries.inc()
+                    probe.emit(
+                        "fetch_retry", key=key, attempt=attempt, reason=reason, shard=self.shard_id
+                    )
+
+            outcome = await fetch_with_retry(
+                self.origin, key, size, self.retry, self._rng, on_retry, span=fspan
+            )
+            if fspan is not None:
+                fspan.end(
+                    "ok" if outcome.ok else "error",
+                    attempts=outcome.attempts,
+                    timeouts=outcome.timeouts,
+                )
+            if outcome.timeouts:
+                m.origin_timeouts.inc(outcome.timeouts)
+            if outcome.ok:
+                m.origin_latency_us.observe(int(outcome.elapsed * 1e6))
+            else:
+                m.origin_failures.inc()
+                if probe is not None:
+                    probe.emit(
+                        "fetch_error",
+                        key=key,
+                        error=outcome.error,
+                        attempts=outcome.attempts,
+                        shard=self.shard_id,
+                    )
+                # The body never arrived: drop the write-on-miss metadata so
+                # the policy doesn't serve phantom hits; the next request
+                # opens a fresh fetch generation.
+                remove = getattr(self.policy, "remove", None)
+                if remove is not None:
+                    remove(key)
         except Exception as exc:
             # A bug in the fetch path itself: count it and make sure no
             # waiter is stranded on an unresolved generation.
-            self.metrics.unhandled.inc()
+            m.unhandled.inc()
             outcome = FetchOutcome(key, 0, False, f"internal: {exc!r}", 0, 0, 0.0)
         self.flight.resolve(key, outcome)
         return outcome
+
+    def _count_retry(self, attempt: int, reason: str) -> None:
+        self.metrics.origin_retries.inc()
 
     def _detach(self, key, size: int, span=None) -> None:
         """Run ``key``'s fetch in a task of its own (held until it is done)."""
         task = asyncio.get_running_loop().create_task(self._lead(key, size, span))
         self._detached.add(task)
         task.add_done_callback(self._detached.discard)
-
-    async def _fetch(self, key, size: int, span=None) -> FetchOutcome:
-        m = self.metrics
-        m.origin_fetches.inc()
-        probe = self.probe
-        fspan = (
-            span.child("origin_fetch", shard=self.shard_id)
-            if span is not None
-            else None
-        )
-        if probe is not None:
-            probe.emit("fetch", key=key, size=size, shard=self.shard_id)
-
-        def on_retry(attempt: int, reason: str) -> None:
-            m.origin_retries.inc()
-            if probe is not None:
-                probe.emit(
-                    "fetch_retry", key=key, attempt=attempt, reason=reason, shard=self.shard_id
-                )
-
-        outcome = await fetch_with_retry(
-            self.origin, key, size, self.retry, self._rng, on_retry, span=fspan
-        )
-        if fspan is not None:
-            fspan.end(
-                "ok" if outcome.ok else "error",
-                attempts=outcome.attempts,
-                timeouts=outcome.timeouts,
-            )
-        if outcome.timeouts:
-            m.origin_timeouts.inc(outcome.timeouts)
-        if outcome.ok:
-            m.origin_latency_us.observe(int(outcome.elapsed * 1e6))
-        else:
-            m.origin_failures.inc()
-            if probe is not None:
-                probe.emit(
-                    "fetch_error",
-                    key=key,
-                    error=outcome.error,
-                    attempts=outcome.attempts,
-                    shard=self.shard_id,
-                )
-            # The body never arrived: drop the write-on-miss metadata so the
-            # policy doesn't serve phantom hits; the next request opens a
-            # fresh fetch generation.
-            remove = getattr(self.policy, "remove", None)
-            if remove is not None:
-                remove(key)
-        return outcome
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> dict:

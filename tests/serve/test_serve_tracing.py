@@ -127,6 +127,44 @@ class TestSpanTopology:
         assert out.error is None and not out.shed
 
 
+class TestTimeoutReconciles:
+    def test_hang_and_follower_reconcile_in_the_stages(self):
+        """One attempt hangs past its deadline while a follower waits on
+        the flight: the timeout is one span and one count, and the stages'
+        critical totals still add up to the requests' wall time."""
+
+        async def run():
+            sink = RingBufferSink()
+            tracer = Tracer(sinks=[sink])
+            origin = SimulatedOrigin(OriginConfig(latency_mean=0.001))
+            origin.inject_hangs(1, seconds=5.0)
+            service = _service(
+                origin=origin,
+                retry=RetryPolicy(timeout=0.02, max_retries=2, backoff_base=0.001),
+            )
+            async with service:
+                roots = [tracer.start_trace("request", n=i) for i in range(2)]
+                outs = await asyncio.gather(
+                    *(service.get(Request(0, 7, 100), s) for s in roots)
+                )
+                for root in roots:
+                    root.end()
+            tracer.close()
+            return sink, tracer, service, outs
+
+        sink, tracer, service, outs = asyncio.run(run())
+        assert all(out.error is None for out in outs)
+        assert [out.coalesced for out in outs] == [False, True]
+        attempts = [r for r in sink.as_list() if r["name"] == "origin_attempt"]
+        assert [r["status"] for r in attempts].count("timeout") == 1
+        assert service.metrics.origin_timeouts.value == 1
+        assert service.unhandled_exceptions == 0
+        stages = tracer.stage_breakdown()
+        assert stages["flight_wait"]["count"] == 1
+        crit_sum_us = sum(s["critical_total_us"] for s in stages.values())
+        assert crit_sum_us == pytest.approx(stages["request"]["total_us"], rel=1e-9)
+
+
 class TestTracedBench:
     def test_critical_path_reconciles_with_e2e_latency(self):
         """Acceptance: summed critical-path stage time ≈ summed e2e latency
